@@ -65,6 +65,7 @@ class _Engine:
         self.opts = opts
         self.stats = MinerStats()
         self._fail_cache: dict[frozenset, object] = {}
+        self._answers_cache: dict[frozenset, object] = {}
 
     def goal_fails(self, constraints: frozenset, cacheable: bool = True):
         """Outcome of an exists-mode evaluation, cached per goal set."""
@@ -93,6 +94,10 @@ class _Engine:
         return outcome
 
     def goal_answers(self, constraints: frozenset):
+        """Outcome of an all-answers evaluation, cached per goal set."""
+        outcome = self._answers_cache.get(constraints)
+        if outcome is not None:
+            return outcome
         outcome = evaluate(
             self.program,
             constraints,
@@ -105,7 +110,28 @@ class _Engine:
         self.stats.evaluations += 1
         if isinstance(outcome, DepthExceeded):
             self.stats.depth_exceeded += 1
+        self._answers_cache[constraints] = outcome
         return outcome
+
+    def answers_imply(self, lhs: frozenset, rhs: frozenset) -> bool:
+        """Validity of lhs ==> rhs, with rhs one jointly quantified set, by
+        the answer-set test: no answer of lhs lies outside every answer of
+        lhs + rhs. False when either evaluation is cut or the comparison
+        blows up."""
+        if rhs <= lhs:
+            return True
+        pos_out = self.goal_answers(lhs)
+        if not isinstance(pos_out, (Answers, Fails)):
+            return False
+        ext_out = self.goal_answers(lhs | rhs)
+        if not isinstance(ext_out, (Answers, Fails)):
+            return False
+        pos = list(pos_out.answers) if isinstance(pos_out, Answers) else []
+        ext = list(ext_out.answers) if isinstance(ext_out, Answers) else []
+        try:
+            return not dnf_satisfiable(pos, ext, cap=self.opts.dnf_cap)
+        except BlowupExceeded:
+            return False
 
 
 def _ordered_subsets(cands: tuple[Constraint, ...]) -> list[frozenset]:
@@ -260,12 +286,6 @@ def mine_general(
     rs = RuleSet()
     base = spec.base_lhs
     failure_filters: list[frozenset] = []
-    answers_cache: dict[frozenset, object] = {}
-
-    def all_answers(goal: frozenset):
-        if goal not in answers_cache:
-            answers_cache[goal] = engine.goal_answers(goal)
-        return answers_cache[goal]
 
     for c_lhs in _ordered_subsets(spec.cand_lhs):
         if any(f <= c_lhs for f in failure_filters):
@@ -295,35 +315,18 @@ def mine_general(
                     valid = False
                 # DepthExceeded: fall through to the answer-set test.
             if valid is None:
-                valid = _answer_set_valid(all_answers, lhs, d, opts, notes)
+                valid = engine.answers_imply(lhs, frozenset((d,)))
+                if valid:
+                    notes.append(
+                        f"answer sets coincide: {format_constraints(lhs)} vs"
+                        f" {format_constraints(lhs | {d})}"
+                    )
             if valid:
                 rhs.append(d)
         if rhs:
             rs.add(Rule("propagation", lhs, tuple(rhs), tuple(notes)))
     rs.stats = engine.stats.as_dict()
     return rs
-
-
-def _answer_set_valid(all_answers, lhs: frozenset, d: Constraint, opts, notes) -> bool:
-    pos_out = all_answers(lhs)
-    if not isinstance(pos_out, (Answers, Fails)):
-        return False
-    ext_out = all_answers(lhs | {d})
-    if not isinstance(ext_out, (Answers, Fails)):
-        return False
-    pos = list(pos_out.answers) if isinstance(pos_out, Answers) else []
-    ext = list(ext_out.answers) if isinstance(ext_out, Answers) else []
-    try:
-        sat = dnf_satisfiable(pos, ext, cap=opts.dnf_cap)
-    except BlowupExceeded:
-        return False
-    if not sat:
-        notes.append(
-            f"answer sets coincide: {format_constraints(lhs)} vs"
-            f" {format_constraints(lhs | {d})}"
-        )
-        return True
-    return False
 
 
 # ---------------------------------------------------------------------------

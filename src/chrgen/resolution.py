@@ -40,6 +40,7 @@ from .terms import (
     Var,
     constraint_key,
     occurs as occurs_in,
+    constraint_vars,
     constraints_vars,
     fresh_var,
     match_into,
@@ -426,8 +427,11 @@ class Evaluation:
 
 def _project_store(store: Store, variables: frozenset[Var]) -> Answer:
     """Answer constraint set of a leaf store, restricted to the given
-    variables where possible; remaining locals are renamed for readability."""
-    simplified = _eliminate_locals(solver.simplify(store), variables)
+    variables where possible; remaining locals are renamed for readability.
+
+    Locals are substituted away in the store's own constraints first, so
+    only the small residue on the call variables is simplified."""
+    simplified = _eliminate_locals(store.constraints, variables)
     locals_ = constraints_vars(simplified) - variables
     ren = renaming_for(locals_, prefix="_L")
     return subst_constraints(ren, simplified)
@@ -436,23 +440,30 @@ def _project_store(store: Store, variables: frozenset[Var]) -> Answer:
 def _eliminate_locals(cs: Iterable[Constraint], keep: frozenset[Var]) -> frozenset[Constraint]:
     """Substitute away local variables bound by an equality to a term not
     containing them; then drop constraints that became redundant."""
-    current = set(cs)
+    # Each constraint with its sort key and its variables, so that a
+    # substitution visits only the constraints it changes.
+    current = {c: (constraint_key(c), constraint_vars(c)) for c in cs}
     changed = True
     while changed:
         changed = False
-        for c in sorted(current, key=constraint_key):
+        for c in sorted(current, key=lambda c: current[c][0]):
             if c.functor != "eq":
                 continue
             l, r = c.args
             for a, b in ((l, r), (r, l)):
                 if isinstance(a, Var) and a not in keep and not occurs_in(a, b):
-                    current.remove(c)
-                    current = {subst_constraint({a: b}, x) for x in current}
+                    del current[c]
+                    sub, b_vars = {a: b}, term_vars(b)
+                    touched = [x for x, (_, vs) in current.items() if a in vs]
+                    for x in touched:
+                        _, vs = current.pop(x)
+                        y = subst_constraint(sub, x)
+                        current[y] = (constraint_key(y), (vs - {a}) | b_vars)
                     changed = True
                     break
             if changed:
                 break
-    store = store_from(sorted(current, key=constraint_key))
+    store = store_from(sorted(current, key=lambda c: current[c][0]))
     if store is None:
         # Elimination cannot introduce inconsistency; be safe anyway.
         return frozenset(current)

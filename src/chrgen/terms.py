@@ -215,6 +215,7 @@ Subst = dict[Var, Term]
 
 
 def apply_subst(s: Mapping[Var, Term], t: Term) -> Term:
+    """t under s; subterms that s leaves unchanged are returned as they are."""
     if isinstance(t, Var):
         bound = s.get(t)
         if bound is None or bound == t:
@@ -222,7 +223,10 @@ def apply_subst(s: Mapping[Var, Term], t: Term) -> Term:
         # Walk chains so application is idempotent on composed substitutions.
         return apply_subst(s, bound) if isinstance(bound, (Var, Compound)) else bound
     if isinstance(t, Compound):
-        return Compound(t.functor, tuple(apply_subst(s, a) for a in t.args))
+        args = tuple(apply_subst(s, a) for a in t.args)
+        if all(new is old for new, old in zip(args, t.args)):
+            return t
+        return Compound(t.functor, args)
     return t
 
 
@@ -262,7 +266,10 @@ def match_subst_constraints(
 
 
 def subst_constraint(s: Mapping[Var, Term], c: Constraint) -> Constraint:
-    return Constraint(c.functor, tuple(apply_subst(s, a) for a in c.args))
+    args = tuple(apply_subst(s, a) for a in c.args)
+    if all(new is old for new, old in zip(args, c.args)):
+        return c
+    return Constraint(c.functor, args)
 
 
 def subst_constraints(s: Mapping[Var, Term], cs: Iterable[Constraint]) -> frozenset[Constraint]:
@@ -353,18 +360,7 @@ def canonical(cs: Iterable[Constraint]) -> tuple[Constraint, ...]:
     """
     current = tuple(sorted(set(cs), key=constraint_key))
     for _ in range(3 + len(current)):
-        mapping: Subst = {}
-
-        def number(t: Term):
-            if isinstance(t, Var) and t not in mapping:
-                mapping[t] = Var(f"V{len(mapping) + 1}")
-            elif isinstance(t, Compound):
-                for a in t.args:
-                    number(a)
-
-        for c in current:
-            for a in c.args:
-                number(a)
+        mapping = _numbering(current)
         if all(old == new for old, new in mapping.items()):
             return current  # renaming would change nothing
         renamed = tuple(sorted((rename_constraint(mapping, c) for c in current), key=constraint_key))
@@ -372,6 +368,22 @@ def canonical(cs: Iterable[Constraint]) -> tuple[Constraint, ...]:
             return current
         current = renamed
     return current
+
+
+def _numbering(cs: Iterable[Constraint]) -> Subst:
+    """Map each variable to V1, V2, ... in left-to-right first-occurrence
+    order over the constraints' arguments."""
+    mapping: Subst = {}
+    for c in cs:
+        stack = list(reversed(c.args))
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Var):
+                if t not in mapping:
+                    mapping[t] = Var(f"V{len(mapping) + 1}")
+            elif isinstance(t, Compound):
+                stack.extend(reversed(t.args))
+    return mapping
 
 
 def canonical_key(cs: Iterable[Constraint]) -> tuple:
@@ -420,26 +432,27 @@ def match_into(
     pattern: Iterable[Constraint], target: Iterable[Constraint], s: Optional[Subst] = None
 ) -> Iterator[Subst]:
     """All substitutions sigma with pattern.sigma a subset of target."""
-    pattern = list(pattern)
-    target = list(target)
+    return _match_from(list(pattern), list(target), 0, dict(s) if s else {})
 
-    def go(i: int, s: Subst) -> Iterator[Subst]:
-        if i == len(pattern):
-            yield s
-            return
-        p = pattern[i]
-        for t in target:
-            if t.functor != p.functor or len(t.args) != len(p.args):
-                continue
-            s2: Optional[Subst] = s
-            for pa, ta in zip(p.args, t.args):
-                s2 = match_term(pa, ta, s2)
-                if s2 is None:
-                    break
-            if s2 is not None:
-                yield from go(i + 1, s2)
 
-    return go(0, dict(s) if s else {})
+def _match_from(
+    pattern: list[Constraint], target: list[Constraint], i: int, s: Subst
+) -> Iterator[Subst]:
+    """Extensions of s that match pattern[i:] into target."""
+    if i == len(pattern):
+        yield s
+        return
+    p = pattern[i]
+    for t in target:
+        if t.functor != p.functor or len(t.args) != len(p.args):
+            continue
+        s2: Optional[Subst] = s
+        for pa, ta in zip(p.args, t.args):
+            s2 = match_term(pa, ta, s2)
+            if s2 is None:
+                break
+        if s2 is not None:
+            yield from _match_from(pattern, target, i + 1, s2)
 
 
 def theta_subsumes(a: Iterable[Constraint], b: Iterable[Constraint]) -> bool:

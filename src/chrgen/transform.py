@@ -15,9 +15,7 @@ from typing import Optional
 
 from .miner import MinerOptions, _Engine
 from .program import Program, format_constraints
-from .resolution import Answers, Fails
 from .rules import Rule, RuleSet
-from .solver import BlowupExceeded, dnf_satisfiable
 from .terms import canonical_key
 
 
@@ -52,7 +50,7 @@ def to_simplification(
         base = base_lhs
         if base is None:
             base = frozenset(c for c in rule.lhs if not c.is_primitive)
-        e = _find_subset(engine, rule, base, opts, report)
+        e = _find_subset(engine, rule, base, report)
         if e is None:
             report.unchanged += 1
             out.add(rule)
@@ -71,11 +69,13 @@ def to_simplification(
         "transformed": report.transformed,
         "unchanged": report.unchanged,
         "rejected": report.rejected,
+        "evaluations": engine.stats.evaluations,
+        "depth_exceeded": engine.stats.depth_exceeded,
     }
     return out
 
 
-def _find_subset(engine, rule: Rule, base_lhs, opts, report) -> Optional[frozenset]:
+def _find_subset(engine, rule: Rule, base_lhs, report) -> Optional[frozenset]:
     lhs = sorted(rule.lhs, key=lambda c: canonical_key([c]))
     candidates = []
     for size in range(len(lhs)):  # proper subsets only
@@ -89,7 +89,7 @@ def _find_subset(engine, rule: Rule, base_lhs, opts, report) -> Optional[frozens
                 f" {format_constraints(rule.lhs)}: whole base would move to the rhs"
             )
             continue
-        if _valid(engine, frozenset(rule.rhs) | e, rule.lhs, opts):
+        if engine.answers_imply(frozenset(rule.rhs) | e, rule.lhs):
             return e
         report.rejected.append(
             f"E = {{{format_constraints(e)}}} rejected for"
@@ -98,22 +98,3 @@ def _find_subset(engine, rule: Rule, base_lhs, opts, report) -> Optional[frozens
             f" {format_constraints(rule.lhs)} is not valid"
         )
     return None
-
-
-def _valid(engine, lhs: frozenset, rhs_set: frozenset, opts) -> bool:
-    """Validity of lhs ==> rhs_set via the answer-set comparison test, with
-    the rhs taken as one jointly quantified set."""
-    if rhs_set <= lhs:
-        return True
-    pos_out = engine.goal_answers(lhs)
-    if not isinstance(pos_out, (Answers, Fails)):
-        return False
-    ext_out = engine.goal_answers(lhs | rhs_set)
-    if not isinstance(ext_out, (Answers, Fails)):
-        return False
-    pos = list(pos_out.answers) if isinstance(pos_out, Answers) else []
-    ext = list(ext_out.answers) if isinstance(ext_out, Answers) else []
-    try:
-        return not dnf_satisfiable(pos, ext, cap=opts.dnf_cap)
-    except BlowupExceeded:
-        return False

@@ -1,5 +1,7 @@
 """End-to-end command line runs, driven through cli.main directly."""
 
+import json
+
 import pytest
 
 from chrgen.cli import main
@@ -21,8 +23,6 @@ def test_generate_machine_format(tmp_path, capsys):
                "--mode", "primitive", "--format", "machine",
                "--out", str(out_file)])
     assert rc == 0
-    import json
-
     payload = json.loads(out_file.read_text())
     assert payload["rules"]
     assert "stats" in payload
@@ -36,6 +36,12 @@ def test_transform_command(tmp_path, capsys):
     assert rc == 0
     assert "<=>" in captured.out
     assert "rejected" in captured.err
+    # The machine format reports what the transform's engine evaluated:
+    # Y=Z, X=[], Y=Z and X=[], Y=Z, append(X,Y,Z), each once.
+    rc = main(["transform", str(rules), str(DATA / "append.clp"), "--format", "machine"])
+    assert rc == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]["transform"]
+    assert (stats["evaluations"], stats["depth_exceeded"]) == (3, 0)
 
 
 def test_emit_command(tmp_path, capsys):

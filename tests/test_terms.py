@@ -5,6 +5,7 @@ subterms of the target, so `theta_subsumes` can be cross-checked without
 relying on the matcher under test.
 """
 
+import gc
 import itertools
 
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from chrgen.terms import (
     constraint_vars,
     constraints_vars,
     make_list,
+    match_into,
     match_term,
     occurs,
     prim,
@@ -133,6 +135,20 @@ def test_canonical_fixpoint(cs):
     # [DERIVED] canonicalizing twice changes nothing
     once = canonical(cs)
     assert canonical(once) == once
+
+
+def test_canonical_and_match_into_leave_no_cyclic_garbage():
+    # Both run on every miner step; reference counting alone must free
+    # what a call leaves behind, or the cyclic collector has to.
+    cs = [atom("q", X, f(Y, X)), prim("neq", Y, a), atom("p", Z)]
+    gc.collect()
+    gc.disable()
+    try:
+        canonical(cs)
+        assert len(list(match_into([atom("p", W)], cs))) == 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_rename_apart_produces_fresh_variables():

@@ -6,6 +6,7 @@ subset E of C (base atoms excluded) such that D + E ==> C is valid too.
 
 import itertools
 
+from chrgen import miner
 from chrgen.miner import MinerOptions, _Engine
 from chrgen.program import parse_goal, parse_program
 from chrgen.rules import parse_rules
@@ -34,6 +35,26 @@ def test_append_rejections_logged(append_program):
     assert any("E = {}" in note and "not valid" in note for note in report.rejected)
     # E = {append(X,Y,Z)} would move the whole base to the rhs
     assert any("append" in note and "base" in note for note in report.rejected)
+
+
+def test_transform_evaluates_each_goal_once(append_program, monkeypatch):
+    # Every candidate E asks for the answers of the rule's lhs plus E; a
+    # goal that several candidates share, here X=Z, Y=[], append(X,Y,Z),
+    # which runs into the depth bound, is evaluated only once.
+    calls = []
+    evaluate = miner.evaluate
+
+    def counted(program, goal, **kwargs):
+        calls.append(goal)
+        return evaluate(program, goal, **kwargs)
+
+    monkeypatch.setattr(miner, "evaluate", counted)
+    rs = parse_rules("append(X,Y,Z), Y=[] ==> X=Z.")
+    out = to_simplification(rs, None, append_program)
+    assert frozenset(parse_goal("append(X,Y,Z), X=Z, Y=[]")) in calls
+    assert len(calls) == len(set(calls))
+    stats = out.stats["transform"]
+    assert (stats["evaluations"], stats["depth_exceeded"]) == (len(calls), 1)
 
 
 def test_min_rule_becomes_simplification(min_program):
