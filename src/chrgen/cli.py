@@ -166,10 +166,6 @@ def _add_miner_flags(p: argparse.ArgumentParser):
                    help="reuse failed goal evaluations")
     p.add_argument("--dnf-cap", type=int, default=10_000)
     p.add_argument("--answers-cap", type=int, default=64)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker bound for candidate evaluation (1 = sequential)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="accepted for interface stability; the pipeline is deterministic")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,11 +11,21 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .program import format_term
 from .rules import Rule, RuleSet
-from .terms import Compound, Const, Constraint, Term, Var, constraint_key, unify
+from .terms import (
+    Compound,
+    Const,
+    Constraint,
+    Term,
+    Var,
+    constraint_key,
+    constraints_vars,
+    unify,
+)
 
 _GUARD_SYMBOL = {"le": "=<", "lt": "<", "ge": ">=", "gt": ">", "neq": "\\=="}
 _BODY_SYMBOL = {"eq": "=", "neq": "\\==", "le": "=<", "lt": "<", "ge": ">=", "gt": ">"}
@@ -42,9 +52,28 @@ class ChrRule:
     guard: tuple[Constraint, ...]
     bodies: tuple[tuple[Constraint, ...], ...]
 
-    @property
+    # What the runtime needs of a rule on every step, worked out once per
+    # rule object.
+
+    @cached_property
     def keeps_heads(self) -> bool:
         return self.kind in ("propagation", "splitting", "failure")
+
+    @cached_property
+    def signature(self) -> tuple[tuple[str, int], ...]:
+        """(functor, arity) of each head."""
+        return tuple((h.functor, len(h.args)) for h in self.heads)
+
+    @cached_property
+    def alternatives(self) -> tuple[tuple[tuple[Constraint, ...], tuple[Var, ...]], ...]:
+        """Each body with the variables in it that no head binds, sorted by
+        name: a firing gives each of them a fresh variable, in that order.
+        A rule without bodies has one empty alternative."""
+        head_vars = constraints_vars(self.heads)
+        return tuple(
+            (body, tuple(sorted(constraints_vars(body) - head_vars, key=lambda v: v.id)))
+            for body in self.bodies or ((),)
+        )
 
 
 @dataclass

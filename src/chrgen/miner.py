@@ -145,6 +145,13 @@ def _ordered_subsets(cands: tuple[Constraint, ...]) -> list[frozenset]:
     return out
 
 
+def _primitive_rhs(spec: CandidateSpec) -> list[Constraint]:
+    """The rhs candidates the primitive and splitting miners test, by
+    failure of the goal with their negation; user-defined ones are left to
+    the general miner."""
+    return [d for d in spec.cand_rhs if d.is_primitive]
+
+
 def mine_primitive(
     program: Program,
     spec: CandidateSpec,
@@ -156,6 +163,7 @@ def mine_primitive(
     rs = RuleSet()
     base = spec.base_lhs
     cand_lhs_set = frozenset(spec.cand_lhs)
+    cand_rhs = _primitive_rhs(spec)
 
     failure_filters: list[frozenset] = []  # emitted failure lhs (candidate part)
     silent_failures: list[frozenset] = []  # opt1: known failing, never emitted
@@ -192,11 +200,11 @@ def mine_primitive(
             continue
         rhs: list[Constraint] = []
         notes: list[str] = []
-        for d in spec.cand_rhs:
+        for d in cand_rhs:
             if d in lhs:
                 # Trivially valid; only worth noting that C+{not(d)} would
                 # be a trivially redundant failure rule.
-                if d.is_primitive and negate(d) in cand_lhs_set:
+                if negate(d) in cand_lhs_set:
                     silent_failures.append(c_lhs | {negate(d)})
                 continue
             goal = lhs | {negate(d)}
@@ -231,6 +239,7 @@ def mine_splitting(
     rs = RuleSet()
     base = spec.base_lhs
     prior_rules = list(prior.rules) if prior else []
+    cand_rhs = _primitive_rhs(spec)
     failure_filters: list[frozenset] = []
 
     def redundant(lhs: frozenset, d1: Constraint, d2: Constraint) -> bool:
@@ -248,7 +257,7 @@ def mine_splitting(
         lhs = base | c_lhs
         if any(r.kind == "failure" and r.lhs <= lhs for r in prior_rules):
             continue
-        for d1, d2 in itertools.combinations(spec.cand_rhs, 2):
+        for d1, d2 in itertools.combinations(cand_rhs, 2):
             if d1 in lhs or d2 in lhs:
                 continue
             if redundant(lhs, d1, d2):

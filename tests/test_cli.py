@@ -114,3 +114,28 @@ def test_no_tabling_reports_depth_exceeded(capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "depth_exceeded" in captured.err
+
+
+def test_removed_miner_flags_are_rejected(capsys):
+    # --jobs and --seed did nothing; argparse now refuses them (exit 2).
+    for flag in ("--jobs", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", str(DATA / "min.clp"), str(DATA / "min.spec"), flag, "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["xor.spec", "and_min.spec", "min_sym.spec"])
+def test_generate_all_modes_with_user_defined_rhs(tmp_path, capsys, spec):
+    # User-defined rhs candidates go to the general miner only; the
+    # primitive and splitting phases cannot negate them.
+    out = tmp_path / "rules.txt"
+    rc = main(["generate", str(DATA / "bool.clp"), str(DATA / spec), "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    printed = [line for line in out.read_text().splitlines() if line.strip()]
+    assert printed
+    rc = main(["validate", str(out), "--program", str(DATA / "bool.clp")])
+    report = capsys.readouterr().out
+    assert rc == 0
+    assert report.count("ok: ") == len(printed)
+    assert "violations: 0" in report
