@@ -225,7 +225,7 @@ def main(argv=None) -> int:
     except (ParseError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (BlowupExceeded, runtime.StepLimitExceeded) as exc:
+    except (BlowupExceeded, runtime.StepLimitExceeded, RecursionError) as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return 2
 

@@ -67,16 +67,15 @@ class _Engine:
         self._fail_cache: dict[frozenset, object] = {}
         self._answers_cache: dict[frozenset, object] = {}
 
-    def goal_fails(self, constraints: frozenset, cacheable: bool = True):
+    def goal_fails(self, constraints: frozenset):
         """Outcome of an exists-mode evaluation, cached per goal set."""
-        key = constraints
-        if cacheable and key in self._fail_cache:
+        if constraints in self._fail_cache:
             self.stats.skipped_opt3 += 1
-            return self._fail_cache[key]
+            return self._fail_cache[constraints]
         if store_from([c for c in constraints if c.is_primitive]) is None:
             # The primitive part alone is unsatisfiable; no resolution needed.
-            if cacheable and self.opts.opt3:
-                self._fail_cache[key] = FAILS
+            if self.opts.opt3:
+                self._fail_cache[constraints] = FAILS
             return FAILS
         outcome = evaluate(
             self.program,
@@ -89,8 +88,8 @@ class _Engine:
         self.stats.evaluations += 1
         if isinstance(outcome, DepthExceeded):
             self.stats.depth_exceeded += 1
-        if cacheable and self.opts.opt3:
-            self._fail_cache[key] = outcome
+        if self.opts.opt3:
+            self._fail_cache[constraints] = outcome
         return outcome
 
     def goal_answers(self, constraints: frozenset):
@@ -240,20 +239,16 @@ def mine_splitting(
     base = spec.base_lhs
     prior_rules = list(prior.rules) if prior else []
     cand_rhs = _primitive_rhs(spec)
-    failure_filters: list[frozenset] = []
 
     def redundant(lhs: frozenset, d1: Constraint, d2: Constraint) -> bool:
-        for r in prior_rules:
-            if r.kind in ("propagation", "simplification") and r.lhs <= lhs:
-                if d1 in r.rhs or d2 in r.rhs:
-                    return True
-            if r.kind == "failure" and r.lhs <= lhs:
-                return True
-        return False
+        return any(
+            r.kind in ("propagation", "simplification")
+            and r.lhs <= lhs
+            and (d1 in r.rhs or d2 in r.rhs)
+            for r in prior_rules
+        )
 
     for c_lhs in _ordered_subsets(spec.cand_lhs):
-        if any(f <= c_lhs for f in failure_filters):
-            continue
         lhs = base | c_lhs
         if any(r.kind == "failure" and r.lhs <= lhs for r in prior_rules):
             continue

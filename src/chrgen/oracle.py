@@ -47,12 +47,9 @@ def universe(constants: Sequence[str], list_depth: int = 0) -> list[Term]:
     return uniq
 
 
-def _order_value(t: Term) -> Optional[tuple]:
-    if isinstance(t, Const):
-        name = t.name
-        if name.lstrip("-").isdigit():
-            return (0, int(name))
-        return (1, name)  # declared-ordered constants: lexicographic order
+def _order_value(t: Term) -> Optional[int]:
+    if isinstance(t, Const) and t.name.lstrip("-").isdigit():
+        return int(t.name)
     return None
 
 
@@ -69,7 +66,7 @@ def ground_holds(c: Constraint, facts: Optional[set] = None) -> bool:
     if c.functor == "neq":
         return left != right
     a, b = _order_value(left), _order_value(right)
-    if a is None or b is None or a[0] != b[0]:
+    if a is None or b is None:
         return False
     return {"le": a <= b, "lt": a < b, "ge": a >= b, "gt": a > b}[c.functor]
 

@@ -5,11 +5,12 @@ Concrete syntax is Prolog-flavoured:
 
     min(X,Y,Z) :- X #=< Y, Z = X.
     and(0,0,0).
-    :- external(q/2).
 
 with ``#=<``, ``#<``, ``#>``, ``#>=`` for order constraints and ``=`` /
 ``\\=`` for Herbrand equality and disequality. Lists use ``[]``,
 ``[H|T]``, ``[a,b]``. Variables start with an uppercase letter or ``_``.
+Order constraints take variables and integers only. Directives
+(``:- ...``) are rejected.
 
 Spec files hold three labelled sections of comma-separated constraints:
 
@@ -34,7 +35,7 @@ from .terms import (
     Var,
     cons,
 )
-from .solver import declare_ordered, is_ordered_const
+from .solver import is_ordered_const
 
 
 class ParseError(Exception):
@@ -55,8 +56,6 @@ class Clause:
 class Program:
     clauses: list[Clause]
     predicates: dict[tuple[str, int], list[Clause]] = field(default_factory=dict)
-    externals: set[tuple[str, int]] = field(default_factory=set)
-    ordered_consts: set[str] = field(default_factory=set)
 
     def __post_init__(self):
         if not self.predicates:
@@ -66,13 +65,6 @@ class Program:
 
     def defines(self, functor: str, arity: int) -> bool:
         return (functor, arity) in self.predicates
-
-    def merge(self, other: "Program") -> "Program":
-        return Program(
-            self.clauses + other.clauses,
-            externals=self.externals | other.externals,
-            ordered_consts=self.ordered_consts | other.ordered_consts,
-        )
 
 
 Goal = frozenset  # of Constraint
@@ -240,8 +232,6 @@ class _Parser:
 def parse_program(text: str) -> Program:
     p = _Parser(text)
     clauses: list[Clause] = []
-    externals: set[tuple[str, int]] = set()
-    ordered_consts: set[str] = set()
     arities: dict[str, int] = {}
 
     def note_arity(c: Constraint, line: int, col: int):
@@ -255,27 +245,11 @@ def parse_program(text: str) -> Program:
         arities[c.functor] = len(c.args)
 
     while p.cur.kind != "eof":
-        if p.at(":-"):  # directive
+        if p.at(":-"):
+            line, col = p.cur.line, p.cur.col
             p.eat(":-")
             d = p.constraint()
-            if d.functor == "external" and len(d.args) == 2:
-                name, ar = d.args
-                if isinstance(name, Const) and isinstance(ar, Const) and ar.name.isdigit():
-                    externals.add((name.name, int(ar.name)))
-                else:
-                    p.error("external/2 expects a name and an arity")
-            elif d.functor == "ordered":
-                names = []
-                for a in d.args:
-                    if not isinstance(a, Const):
-                        p.error("ordered/N expects constants")
-                    names.append(a.name)
-                ordered_consts.update(names)
-                declare_ordered(names)
-            else:
-                p.error(f"unknown directive {d.functor}")
-            p.eat(".")
-            continue
+            raise ParseError(f"unsupported directive {d.functor}/{len(d.args)}", line, col)
         line, col = p.cur.line, p.cur.col
         head = p.constraint()
         if head.is_primitive:
@@ -292,11 +266,11 @@ def parse_program(text: str) -> Program:
             note_arity(c, line, col)
         clauses.append(Clause(head, body_user, body_prim))
 
-    prog = Program(clauses, externals=externals, ordered_consts=ordered_consts)
+    prog = Program(clauses)
     for cl in clauses:
         for c in cl.body_user:
             key = (c.functor, len(c.args))
-            if not prog.defines(*key) and key not in externals:
+            if not prog.defines(*key):
                 raise ParseError(
                     f"undefined predicate {key[0]}/{key[1]}", 1, 1
                 )
@@ -417,57 +391,3 @@ def format_constraint(c: Constraint) -> str:
 
 def format_constraints(cs: Iterable[Constraint]) -> str:
     return ", ".join(format_constraint(c) for c in sorted(cs, key=format_constraint))
-
-
-def format_program(p: Program) -> str:
-    lines = []
-    if p.ordered_consts:
-        lines.append(f":- ordered({', '.join(sorted(p.ordered_consts))}).")
-    for name, arity in sorted(p.externals):
-        lines.append(f":- external({name}, {arity}).")
-    for cl in p.clauses:
-        body = sorted(cl.body_user | cl.body_prim, key=format_constraint)
-        if body:
-            lines.append(
-                f"{format_constraint(cl.head)} :- "
-                + ", ".join(format_constraint(c) for c in body)
-                + "."
-            )
-        else:
-            lines.append(f"{format_constraint(cl.head)}.")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Candidate suggestion (heuristic helper)
-# ---------------------------------------------------------------------------
-
-
-def suggest_candidates(p: Program, base: Goal) -> list[Constraint]:
-    """Propose primitive candidates from pairs of base-atom arguments and
-    from constants mentioned in the program. Heuristic only."""
-    variables: list[Var] = []
-    for c in sorted(base, key=format_constraint):
-        for a in c.args:
-            if isinstance(a, Var) and a not in variables:
-                variables.append(a)
-    consts: list[Const] = []
-    for cl in p.clauses:
-        for c in [cl.head, *cl.body_user, *cl.body_prim]:
-            for a in c.args:
-                stack = [a]
-                while stack:
-                    t = stack.pop()
-                    if isinstance(t, Const) and t not in consts:
-                        consts.append(t)
-                    elif isinstance(t, Compound):
-                        stack.extend(t.args)
-    out: list[Constraint] = []
-    for i, x in enumerate(variables):
-        for y in variables[i + 1 :]:
-            out.append(Constraint("eq", (x, y)))
-            out.append(Constraint("neq", (x, y)))
-        for k in consts:
-            out.append(Constraint("eq", (x, k)))
-            out.append(Constraint("neq", (x, k)))
-    return _dedup(out)

@@ -76,42 +76,6 @@ FAILS = Fails()
 DEPTH_EXCEEDED = DepthExceeded()
 
 
-def call_subsumes(
-    tabled: tuple[Goal, Iterable[Constraint]],
-    current: tuple[Goal, Iterable[Constraint]],
-    current_store: Optional[Store] = None,
-) -> Optional[Subst]:
-    """Substitution witnessing that the tabled call is at least as general
-    as the current one, or None.
-
-    The matcher must map the tabled atoms onto the current atoms and the
-    current store must entail every tabled store constraint under it.
-    Sound but incomplete: a missed subsumption only costs reuse. Passing
-    ``current_store`` avoids rebuilding the store of the current call.
-    """
-    t_atoms, t_store = tabled
-    c_atoms, c_store = current
-    t_atoms = sorted(t_atoms, key=constraint_key)
-    c_atoms = sorted(c_atoms, key=constraint_key)
-    if sorted(a.functor for a in t_atoms) != sorted(a.functor for a in c_atoms):
-        return None
-    cur = current_store if current_store is not None else store_from(c_store)
-    if cur is None:
-        return None
-    t_store = sorted(t_store, key=constraint_key)
-    store_vars = constraints_vars(t_store)
-    for sigma in match_into(t_atoms, c_atoms):
-        # The matcher must cover the current atoms exactly; a partial image
-        # would ignore constraints of the current call.
-        if match_subst_constraints(sigma, t_atoms) != frozenset(c_atoms):
-            continue
-        if any(v not in sigma for v in store_vars):
-            continue
-        if all(entails(cur, match_subst_constraint(sigma, c)) for c in t_store):
-            return sigma
-    return None
-
-
 @dataclass
 class _Entry:
     idx: int
@@ -134,7 +98,6 @@ class _Entry:
     # (consumer entry, sigma mapping producer vars to consumer terms)
     consumers: list[tuple["_Entry", Subst]] = ()
     parent: Optional["_Entry"] = None
-    expanded: bool = False
 
     def __post_init__(self):
         # Store variables only grow down a derivation, so the test needs no
@@ -172,16 +135,14 @@ class Evaluation:
         program: Program,
         goal: Goal,
         depth: int = 200,
-        tabling: bool = True,
         answer_cap: int = 512,
         trace: Optional[Callable[[str], None]] = None,
     ):
         self.program = program
         self.depth = depth
-        self.tabling = tabling
         self.answer_cap = answer_cap
         self.trace = trace
-        self.entries: list[_Entry] = []
+        self.n_entries = 0
         # Entries that may subsume later calls, by functor key, oldest first.
         self.producers: dict[tuple, list[_Entry]] = {}
         self.depth_exceeded = False
@@ -256,30 +217,24 @@ class Evaluation:
         return ", ".join(parts)
 
     def _register(self, entry: _Entry) -> None:
-        self.entries.append(entry)
+        self.n_entries += 1
         if entry.subsumable and entry.atoms:
             self.producers.setdefault(entry.functor_key, []).append(entry)
 
     def _expand(self, entry: _Entry, work: deque, answer_work: deque):
-        if entry.expanded:
-            return
-        entry.expanded = True
         if not entry.atoms:
-            self._emit_answer(entry, answer_work)
+            self._add_answer(entry, _project_store(entry.store, entry.variables), answer_work)
             return
-        if self.tabling:
-            producer_sigma = self._find_producer(entry)
-            if producer_sigma is not None:
-                producer, sigma = producer_sigma
-                self._log(
-                    f"suspend: entry {entry.idx} consumes entry {producer.idx}"
-                )
-                if not producer.consumers:
-                    producer.consumers = []
-                producer.consumers.append((entry, sigma))
-                for ans in list(producer.answers):
-                    self._consume(entry, ans, sigma, answer_work)
-                return
+        producer_sigma = self._find_producer(entry)
+        if producer_sigma is not None:
+            producer, sigma = producer_sigma
+            self._log(f"suspend: entry {entry.idx} consumes entry {producer.idx}")
+            if not producer.consumers:
+                producer.consumers = []
+            producer.consumers.append((entry, sigma))
+            for ans in list(producer.answers):
+                self._consume(entry, ans, sigma, answer_work)
+            return
         if entry.depth <= 0:
             self.depth_exceeded = True
             self._log(f"depth: entry {entry.idx} exceeded the bound")
@@ -314,7 +269,7 @@ class Evaluation:
             return None
         atoms = tuple(sorted((*rest, *body_user), key=constraint_key))
         child = _Entry(
-            len(self.entries),
+            self.n_entries,
             atoms,
             store,
             entry.depth - 1,
@@ -355,11 +310,15 @@ class Evaluation:
         return child
 
     def _find_producer(self, entry: _Entry) -> Optional[tuple[_Entry, Subst]]:
-        """Scan earlier entries for one whose call subsumes this one.
+        """Scan earlier entries for one whose call subsumes this one: the
+        matcher maps the earlier entry's atoms onto exactly this entry's
+        atoms, binds all of its store variables, and under it this entry's
+        store entails every constraint of the earlier store. Sound but
+        incomplete: a missed subsumption only costs reuse.
 
-        Same logic as :func:`call_subsumes`, but driven by the per-entry
-        caches and the producer index, so a long chain of non-subsuming
-        calls stays cheap. Candidates are tried oldest first.
+        Only producers with the same functor key are scanned, so a long
+        chain of non-subsuming calls stays cheap. Candidates are tried
+        oldest first.
         """
         single = len(entry.atoms) == 1
         for cand in self.producers.get(entry.functor_key, ()):
@@ -382,9 +341,6 @@ class Evaluation:
 
     # -- answers ----------------------------------------------------------
 
-    def _project(self, entry: _Entry, store: Store) -> Optional[Answer]:
-        return _project_store(store, entry.variables)
-
     def _add_answer(self, entry: _Entry, ans: Answer, answer_work: deque) -> None:
         key = _answer_canonical(ans, entry.variables)
         if key in entry.answer_keys:
@@ -401,11 +357,6 @@ class Evaluation:
         )
         answer_work.append((entry, ans))
 
-    def _emit_answer(self, entry: _Entry, answer_work: deque):
-        ans = self._project(entry, entry.store)
-        if ans is not None:
-            self._add_answer(entry, ans, answer_work)
-
     def _lift(self, parent: _Entry, ans: Answer, answer_work: deque):
         # A child answer is an answer of the parent once reprojected onto
         # the parent's variable set.
@@ -420,9 +371,7 @@ class Evaluation:
         store = assert_many(consumer.store, sorted(mapped, key=constraint_key))
         if store is None:
             return
-        projected = self._project(consumer, store)
-        if projected is not None:
-            self._add_answer(consumer, projected, answer_work)
+        self._add_answer(consumer, _project_store(store, consumer.variables), answer_work)
 
 
 def _project_store(store: Store, variables: frozenset[Var]) -> Answer:
@@ -728,4 +677,4 @@ def evaluate(
     """
     if not tabling:
         return _classical(program, goal, depth, mode, answer_cap, trace)
-    return Evaluation(program, goal, depth, tabling, answer_cap, trace).run(mode)
+    return Evaluation(program, goal, depth, answer_cap, trace).run(mode)

@@ -35,20 +35,10 @@ def negate(c: Constraint) -> Constraint:
     return Constraint(NEGATION[c.functor], c.args)
 
 
-#: Constants with an order sort: numerals, plus anything declared ordered
-#: via a program directive. Order relations apply only to variables and
-#: these.
-ORDERED_CONSTANTS: set[str] = set()
-
-
-def declare_ordered(names: Iterable[str]) -> None:
-    ORDERED_CONSTANTS.update(names)
-
-
 def is_ordered_const(t: Term) -> bool:
-    if not isinstance(t, Const):
-        return False
-    return t.name.lstrip("-").isdigit() or t.name in ORDERED_CONSTANTS
+    """Whether ``t`` is a numeral, the only constants with an order sort.
+    Order relations apply only to variables and these."""
+    return isinstance(t, Const) and t.name.lstrip("-").isdigit()
 
 
 def _const_value(t: Term) -> Optional[int]:

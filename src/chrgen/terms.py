@@ -322,19 +322,12 @@ def fresh_var(prefix: str = "_G") -> Var:
     return _make_var(Var, (f"{prefix}{next(_counter)}",))
 
 
-def rename_apart(cs: Iterable[Constraint], prefix: str = "_G") -> frozenset[Constraint]:
-    """Replace every variable with a fresh one, preserving sharing."""
-    cs = list(cs)
-    mapping: Subst = {v: fresh_var(prefix) for v in sorted(constraints_vars(cs), key=lambda v: v.id)}
-    return subst_constraints(mapping, cs)
-
-
 def renaming_for(vars_: Iterable[Var], prefix: str = "_G") -> Subst:
     return {v: fresh_var(prefix) for v in sorted(set(vars_), key=lambda v: v.id)}
 
 
 # ---------------------------------------------------------------------------
-# Canonical forms and variant equality
+# Canonical forms
 # ---------------------------------------------------------------------------
 
 
@@ -391,15 +384,9 @@ def canonical_key(cs: Iterable[Constraint]) -> tuple:
     return tuple(constraint_key(c) for c in canonical(cs))
 
 
-def variant_equal(a: Iterable[Constraint], b: Iterable[Constraint]) -> bool:
-    return canonical(a) == canonical(b)
-
-
 # ---------------------------------------------------------------------------
 # Theta-subsumption
 # ---------------------------------------------------------------------------
-
-_subsume_cache: dict[tuple, bool] = {}
 
 
 def match_term(pat: Term, t: Term, s: Subst) -> Optional[Subst]:
@@ -454,15 +441,3 @@ def _match_from(
         if s2 is not None:
             yield from _match_from(pattern, target, i + 1, s2)
 
-
-def theta_subsumes(a: Iterable[Constraint], b: Iterable[Constraint]) -> bool:
-    """True iff some substitution maps ``a`` into a subset of ``b``."""
-    a = frozenset(a)
-    b = frozenset(b)
-    key = (canonical(a), canonical(b))
-    hit = _subsume_cache.get(key)
-    if hit is not None:
-        return hit
-    result = next(iter(match_into(a, b)), None) is not None
-    _subsume_cache[key] = result
-    return result

@@ -9,11 +9,10 @@ simplification removes as much as possible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .miner import MinerOptions, _Engine
+from .miner import MinerOptions, _Engine, _ordered_subsets
 from .program import Program, format_constraints
 from .rules import Rule, RuleSet
 from .terms import canonical_key
@@ -76,13 +75,8 @@ def to_simplification(
 
 
 def _find_subset(engine, rule: Rule, base_lhs, report) -> Optional[frozenset]:
-    lhs = sorted(rule.lhs, key=lambda c: canonical_key([c]))
-    candidates = []
-    for size in range(len(lhs)):  # proper subsets only
-        layer = [frozenset(c) for c in itertools.combinations(lhs, size)]
-        layer.sort(key=canonical_key)
-        candidates.extend(layer)
-    for e in candidates:
+    lhs = tuple(sorted(rule.lhs, key=lambda c: canonical_key([c])))
+    for e in _ordered_subsets(lhs)[:-1]:  # proper subsets only
         if base_lhs <= e:
             report.rejected.append(
                 f"E = {{{format_constraints(e)}}} rejected for"

@@ -207,9 +207,9 @@ def test_criterion_4_splitting(art):
     evaluated_goals = []
     original = engine.goal_fails
 
-    def spy(constraints, cacheable=True):
+    def spy(constraints):
         evaluated_goals.append(constraints)
-        return original(constraints, cacheable)
+        return original(constraints)
 
     engine.goal_fails = spy
     rs = mine_splitting(art.bool_program, art.and_split_spec, prior=prior,

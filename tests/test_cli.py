@@ -103,6 +103,29 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_program_with_external_directive_is_rejected(tmp_path, capsys):
+    # Mining this program with q/1 read as false gives p(X) ==> X=b,
+    # which does not follow from it.
+    prog = tmp_path / "ext.clp"
+    prog.write_text(":- external(q,1).\np(X) :- q(X), X=a.\np(X) :- X=b.\n")
+    spec = tmp_path / "ext.spec"
+    spec.write_text("base: p(X)\ncand_lhs: X=a, X=b\ncand_rhs: cand_lhs\n")
+    rc = main(["generate", str(prog), str(spec)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "external/2" in captured.err
+    assert "==>" not in captured.out
+
+
+def test_deep_input_exits_with_limit_code(tmp_path, capsys):
+    spec = tmp_path / "deep.spec"
+    items = ",".join(["a"] * 1200)
+    spec.write_text(f"base: append(X,Y,Z)\ncand_lhs: X=[{items}], Y=[]\ncand_rhs: cand_lhs\n")
+    rc = main(["generate", str(DATA / "append.clp"), str(spec)])
+    assert rc == 2
+    assert "limit exceeded:" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(capsys):
     rc = main(["emit", "/nonexistent/rules.txt"])
     assert rc == 1

@@ -1,0 +1,45 @@
+"""Every top-level function and class of the package is used by the package
+itself, or is one of the few entry points that only outside callers use.
+
+A name counts as used when it appears as a name or an attribute anywhere in
+the package outside its own definition; import statements do not count.
+"""
+
+import ast
+from pathlib import Path
+
+import chrgen
+
+SRC = Path(chrgen.__file__).parent
+
+# Called by the benchmark's workloads, not by the package.
+ENTRY_POINTS = {"oracle.goal_has_ground_solution", "terms.prim"}
+
+
+def _names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_top_level_definition_is_used():
+    definitions = []  # (qualified name, module, index of the statement)
+    used = {}  # name -> set of (module, index of the statement) using it
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(), str(path))
+        for i, stmt in enumerate(tree.body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((f"{module}.{stmt.name}", module, i))
+            for name in _names(stmt):
+                used.setdefault(name, set()).add((module, i))
+    unused = [
+        qualified
+        for qualified, module, i in definitions
+        if qualified not in ENTRY_POINTS
+        and not used.get(qualified.split(".")[1], set()) - {(module, i)}
+    ]
+    assert unused == []
+    assert ENTRY_POINTS <= {qualified for qualified, _, _ in definitions}

@@ -1,4 +1,4 @@
-"""Parsing of programs, goals, candidate specs, and formatting round trips."""
+"""Parsing of programs, goals and candidate specs, and formatting."""
 
 import pytest
 
@@ -6,11 +6,9 @@ from chrgen.program import (
     ParseError,
     format_constraint,
     format_constraints,
-    format_program,
     parse_goal,
     parse_program,
     parse_spec,
-    suggest_candidates,
 )
 from chrgen.terms import Compound, Const, Var, constraints_vars
 
@@ -93,12 +91,6 @@ def test_parse_error_positions():
         parse_goal("p(X), ")
 
 
-def test_format_roundtrip(append_program):
-    text = format_program(append_program)
-    again = parse_program(text)
-    assert format_program(again) == text
-
-
 def test_format_constraint_symbols():
     (c,) = parse_goal("X#=<Y")
     assert format_constraint(c) == "X#=<Y"
@@ -111,10 +103,20 @@ def test_format_constraints_sorted_deterministic():
     assert format_constraints(goal) == format_constraints(sorted(goal, key=repr))
 
 
-def test_suggest_candidates(append_program):
-    base = parse_goal("append(X,Y,Z)")
-    cands = suggest_candidates(append_program, base)
-    names = {format_constraint(c) for c in cands}
-    # equalities between goal variables and against clause-head constants
-    assert "X=Y" in names or "Y=X" in names
-    assert any(s.endswith("=[]") for s in names)
+def test_directives_are_rejected():
+    # Declared external, q would have no clauses: the engine would read
+    # q(X) as false and mine the unsound p(X) ==> X=b from this program.
+    with pytest.raises(ParseError, match="external/2"):
+        parse_program(":- external(q,1). p(X) :- q(X), X=a. p(X) :- X=b.")
+    with pytest.raises(ParseError, match="ordered/1"):
+        parse_program(":- ordered(lo).")
+
+
+def test_parsing_a_program_leaves_the_order_sort_unchanged():
+    # Order constraints take numerals only, whatever was parsed before.
+    try:
+        parse_program(":- ordered(lo).\np(X) :- X #=< lo.")
+    except ParseError:
+        pass
+    with pytest.raises(ParseError, match="non-ordered"):
+        parse_goal("X #=< lo")

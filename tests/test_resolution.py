@@ -14,7 +14,6 @@ from chrgen.resolution import (
     Answers,
     DepthExceeded,
     Fails,
-    call_subsumes,
     evaluate,
 )
 from chrgen.solver import entails, store_from
@@ -26,16 +25,14 @@ from chrgen.terms import Const
 # ---------------------------------------------------------------------------
 
 
-def test_call_subsumption_append_example():
-    # the recursive subgoal of append is subsumed by the initial goal
-    general = parse_goal("append(A,B,C), B=[], A\\=C")
-    specific = parse_goal("append(A,B,C), D=[E|A], F=[E|C], B=[], D\\=F")
-    g_atoms = frozenset(c for c in general if not c.is_primitive)
-    g_prims = frozenset(c for c in general if c.is_primitive)
-    s_atoms = frozenset(c for c in specific if not c.is_primitive)
-    s_prims = frozenset(c for c in specific if c.is_primitive)
-    assert call_subsumes((g_atoms, g_prims), (s_atoms, s_prims)) is not None
-    assert call_subsumes((s_atoms, s_prims), (g_atoms, g_prims)) is None
+def test_call_subsumption_append_example(append_program):
+    # the recursive subgoal of append is subsumed by the initial goal: it
+    # suspends on the root, and the root never consumes the deeper call
+    lines = []
+    goal = parse_goal("append(A,B,C), B=[], A\\=C")
+    assert isinstance(evaluate(append_program, goal, trace=lines.append), Fails)
+    suspends = [line for line in lines if line.startswith("suspend:")]
+    assert suspends == ["suspend: entry 1 consumes entry 0"]
 
 
 # ---------------------------------------------------------------------------
