@@ -216,12 +216,16 @@ class _Parser:
             return Constraint(left.name, ())
         self.error(f"expected a constraint, found bare term {left!r}")
 
-    def constraint_list(self) -> list[Constraint]:
-        out = [self.constraint()]
-        while self.at(","):
-            self.eat(",")
-            out.append(self.constraint())
-        return out
+    def constraint_list(self, seps: tuple[str, ...] = (",",)) -> list[tuple[Constraint, _Tok]]:
+        """Constraints separated by any of ``seps``, each with its first
+        token, so that errors found later can point at it."""
+        out = []
+        while True:
+            tok = self.cur
+            out.append((self.constraint(), tok))
+            if not any(self.at(sep) for sep in seps):
+                return out
+            self.eat()
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +236,7 @@ class _Parser:
 def parse_program(text: str) -> Program:
     p = _Parser(text)
     clauses: list[Clause] = []
+    calls: list[tuple[Constraint, _Tok]] = []  # body atoms, in textual order
     arities: dict[str, int] = {}
 
     def note_arity(c: Constraint, line: int, col: int):
@@ -255,25 +260,26 @@ def parse_program(text: str) -> Program:
         if head.is_primitive:
             raise ParseError("clause head must be user-defined", line, col)
         note_arity(head, line, col)
-        body: list[Constraint] = []
+        body: list[tuple[Constraint, _Tok]] = []
         if p.at(":-"):
             p.eat(":-")
             body = p.constraint_list()
         p.eat(".")
-        body_user = frozenset(c for c in body if not c.is_primitive)
-        body_prim = frozenset(c for c in body if c.is_primitive)
-        for c in body_user:
-            note_arity(c, line, col)
-        clauses.append(Clause(head, body_user, body_prim))
+        for c, tok in body:
+            note_arity(c, tok.line, tok.col)
+        calls.extend((c, tok) for c, tok in body if not c.is_primitive)
+        clauses.append(
+            Clause(
+                head,
+                frozenset(c for c, _ in body if not c.is_primitive),
+                frozenset(c for c, _ in body if c.is_primitive),
+            )
+        )
 
     prog = Program(clauses)
-    for cl in clauses:
-        for c in cl.body_user:
-            key = (c.functor, len(c.args))
-            if not prog.defines(*key):
-                raise ParseError(
-                    f"undefined predicate {key[0]}/{key[1]}", 1, 1
-                )
+    for c, tok in calls:
+        if not prog.defines(c.functor, len(c.args)):
+            raise ParseError(f"undefined predicate {c.functor}/{len(c.args)}", tok.line, tok.col)
     return prog
 
 
@@ -284,7 +290,7 @@ def parse_goal(text: str) -> Goal:
         p.eat(".")
     if p.cur.kind != "eof":
         p.error("trailing input after goal")
-    return frozenset(cs)
+    return frozenset(c for c, _ in cs)
 
 
 # ---------------------------------------------------------------------------
@@ -297,54 +303,63 @@ _SECTION_RE = re.compile(r"^(base|cand_lhs|cand_rhs)\s*:\s*(.*)$")
 def parse_spec(text: str, mode: str = "general") -> CandidateSpec:
     """Parse a three-section spec file. ``mode='primitive'`` additionally
     rejects user-defined constraints in cand_rhs."""
-    sections: dict[str, list[str]] = {"base": [], "cand_lhs": [], "cand_rhs": []}
+    # Each section as (line number, column, text) fragments of the file.
+    sections: dict[str, list[tuple[int, int, str]]] = {"base": [], "cand_lhs": [], "cand_rhs": []}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("%", 1)[0].strip()
+        code = raw.split("%", 1)[0]
+        line = code.strip()
         if not line:
             continue
+        col = len(code) - len(code.lstrip()) + 1
         m = _SECTION_RE.match(line)
         if m:
             current = m.group(1)
             rest = m.group(2).strip()
             if rest:
-                sections[current].append(rest)
+                sections[current].append((lineno, col + m.start(2), rest))
         elif current is None:
             raise ParseError("constraints before any section label", lineno, 1)
         else:
-            sections[current].append(line)
+            sections[current].append((lineno, col, line))
 
-    def parse_section(name: str) -> list[Constraint]:
-        body = " ".join(sections[name]).strip().rstrip(",.")
-        if not body:
+    def parse_section(name: str) -> list[tuple[Constraint, _Tok]]:
+        # The fragments are laid out at their own lines and columns, so
+        # that token positions are positions in the spec file.
+        body, at = "", 1
+        for lineno, col, fragment in sections[name]:
+            body += "\n" * (lineno - at) + " " * (col - 1) + fragment
+            at = lineno
+        body = body.rstrip().rstrip(",.")
+        if not body.strip():
             return []
         # Constraints in a section may be separated by commas or periods.
         p = _Parser(body)
-        out = [p.constraint()]
-        while p.at(",") or p.at("."):
-            p.eat()
-            out.append(p.constraint())
+        out = p.constraint_list(seps=(",", "."))
         if p.cur.kind != "eof":
             p.error(f"trailing input in section {name!r}")
         return out
 
-    base = frozenset(parse_section("base"))
+    base = frozenset(c for c, _ in parse_section("base"))
     cand_lhs = parse_section("cand_lhs")
-    rhs_body = " ".join(sections["cand_rhs"]).strip()
-    if rhs_body == "cand_lhs":
+    if " ".join(fragment for _, _, fragment in sections["cand_rhs"]) == "cand_lhs":
         cand_rhs = list(cand_lhs)
     else:
         cand_rhs = parse_section("cand_rhs")
 
-    cand_lhs = _dedup(cand_lhs)
-    cand_rhs = _dedup(cand_rhs)
     if mode == "primitive":
-        for c in cand_rhs:
+        for c, tok in cand_rhs:
             if not c.is_primitive:
                 raise ParseError(
-                    f"user-defined constraint {c!r} in cand_rhs (primitive mode)", 1, 1
+                    f"user-defined constraint {c!r} in cand_rhs (primitive mode)",
+                    tok.line,
+                    tok.col,
                 )
-    return CandidateSpec(base, tuple(cand_lhs), tuple(cand_rhs))
+    return CandidateSpec(
+        base,
+        tuple(_dedup(c for c, _ in cand_lhs)),
+        tuple(_dedup(c for c, _ in cand_rhs)),
+    )
 
 
 def _dedup(cs: Iterable[Constraint]) -> list[Constraint]:

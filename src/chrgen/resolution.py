@@ -10,8 +10,13 @@ saturates.
 
 Resolution binds by asserting head-argument equalities into the branch
 store rather than by substitution, so derivation branches mirror the
-constraint-accumulation style of CLP derivation trees and answers fall out
-of store simplification.
+constraint-accumulation style of CLP derivation trees. An answer is
+recorded only where it can be used: at the nearest ancestor-or-self of the
+leaf or consumer that is a registered producer (only producers can ever
+have consumers), or else at the root. It is projected once, onto that
+entry's variables, by :func:`solver.project`, which reads the branch
+store's union-find. A producer's answer is lifted to the next such entry up
+in the same way.
 
 The classical evaluator keeps the resolvent as an ordered literal sequence
 with left-to-right selection: leading primitive constraints are moved into
@@ -27,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from . import solver
 from .program import Clause, Goal, Program, format_constraint, format_constraints
@@ -39,8 +44,6 @@ from .terms import (
     Subst,
     Var,
     constraint_key,
-    occurs as occurs_in,
-    constraint_vars,
     constraints_vars,
     fresh_var,
     match_into,
@@ -98,6 +101,9 @@ class _Entry:
     # (consumer entry, sigma mapping producer vars to consumer terms)
     consumers: list[tuple["_Entry", Subst]] = ()
     parent: Optional["_Entry"] = None
+    # Where this entry's answers are recorded: itself if it is a producer
+    # (a subsumable entry with atoms) or the root, else its parent's target.
+    target: "_Entry" = field(init=False)
 
     def __post_init__(self):
         # Store variables only grow down a derivation, so the test needs no
@@ -106,6 +112,8 @@ class _Entry:
         while e is not None and e.new_vars <= self.atom_vars:
             e = e.parent
         self.subsumable = e is None
+        producer = self.subsumable and bool(self.atoms)
+        self.target = self if producer or self.parent is None else self.parent.target
 
     @cached_property
     def store_vars(self) -> frozenset[Var]:
@@ -190,7 +198,7 @@ class Evaluation:
                 for consumer, sigma in list(entry.consumers):
                     self._consume(consumer, ans, sigma, answer_work)
                 if entry.parent is not None:
-                    self._lift(entry.parent, ans, answer_work)
+                    self._lift(entry, ans, answer_work)
                 if mode == "exists" and root.answers:
                     break
             if mode == "exists" and root.answers:
@@ -223,7 +231,7 @@ class Evaluation:
 
     def _expand(self, entry: _Entry, work: deque, answer_work: deque):
         if not entry.atoms:
-            self._add_answer(entry, _project_store(entry.store, entry.variables), answer_work)
+            self._add_answer(entry.target, entry.store, answer_work)
             return
         producer_sigma = self._find_producer(entry)
         if producer_sigma is not None:
@@ -341,82 +349,50 @@ class Evaluation:
 
     # -- answers ----------------------------------------------------------
 
-    def _add_answer(self, entry: _Entry, ans: Answer, answer_work: deque) -> None:
+    def _add_answer(self, entry: _Entry, store: Store, answer_work: deque) -> None:
+        """Record the store, projected onto the entry's variables, as an
+        answer of the entry unless it has one of the same form already."""
+        ans = _project_store(store, entry.variables)
         key = _answer_canonical(ans, entry.variables)
         if key in entry.answer_keys:
             return
         if len(entry.answers) >= self.answer_cap:
+            if self.trace:
+                self._log(f"cap: entry {entry.idx} reached the answer cap {self.answer_cap}")
             self.cap_exceeded = True
             return
         if not entry.answers:
             entry.answers, entry.answer_keys = [], set()
         entry.answer_keys.add(key)
         entry.answers.append(ans)
-        self._log(
-            f"answer: entry {entry.idx}: {format_constraints(ans)}"
-        )
+        if self.trace:
+            self._log(f"answer: entry {entry.idx}: {format_constraints(ans)}")
         answer_work.append((entry, ans))
 
-    def _lift(self, parent: _Entry, ans: Answer, answer_work: deque):
-        # A child answer is an answer of the parent once reprojected onto
-        # the parent's variable set.
-        ans = _eliminate_locals(ans, parent.variables)
-        locals_ = constraints_vars(ans) - parent.variables
-        ren = renaming_for(locals_, prefix="_L")
-        self._add_answer(parent, subst_constraints(ren, ans), answer_work)
+    def _lift(self, entry: _Entry, ans: Answer, answer_work: deque):
+        # A producer's answer is an answer of the next entry up that records
+        # answers, once projected onto that entry's variables.
+        store = store_from(sorted(ans, key=constraint_key))
+        self._add_answer(entry.parent.target, store, answer_work)
 
     def _consume(self, consumer: _Entry, ans: Answer, sigma: Subst, answer_work: deque):
+        # The answer's locals get fresh names; its call variables map onto
+        # the consumer's terms.
         local_ren = renaming_for(constraints_vars(ans) - set(sigma), prefix="_L")
-        mapped = match_subst_constraints(sigma, subst_constraints(local_ren, ans))
+        mapped = match_subst_constraints({**local_ren, **sigma}, ans)
         store = assert_many(consumer.store, sorted(mapped, key=constraint_key))
         if store is None:
             return
-        self._add_answer(consumer, _project_store(store, consumer.variables), answer_work)
+        self._add_answer(consumer.target, store, answer_work)
 
 
 def _project_store(store: Store, variables: frozenset[Var]) -> Answer:
-    """Answer constraint set of a leaf store, restricted to the given
-    variables where possible; remaining locals are renamed for readability.
-
-    Locals are substituted away in the store's own constraints first, so
-    only the small residue on the call variables is simplified."""
-    simplified = _eliminate_locals(store.constraints, variables)
-    locals_ = constraints_vars(simplified) - variables
+    """Answer constraint set of a store, restricted to the given variables
+    where possible; remaining locals are renamed for readability."""
+    projected = solver.project(store, variables)
+    locals_ = constraints_vars(projected) - variables
     ren = renaming_for(locals_, prefix="_L")
-    return subst_constraints(ren, simplified)
-
-
-def _eliminate_locals(cs: Iterable[Constraint], keep: frozenset[Var]) -> frozenset[Constraint]:
-    """Substitute away local variables bound by an equality to a term not
-    containing them; then drop constraints that became redundant."""
-    # Each constraint with its sort key and its variables, so that a
-    # substitution visits only the constraints it changes.
-    current = {c: (constraint_key(c), constraint_vars(c)) for c in cs}
-    changed = True
-    while changed:
-        changed = False
-        for c in sorted(current, key=lambda c: current[c][0]):
-            if c.functor != "eq":
-                continue
-            l, r = c.args
-            for a, b in ((l, r), (r, l)):
-                if isinstance(a, Var) and a not in keep and not occurs_in(a, b):
-                    del current[c]
-                    sub, b_vars = {a: b}, term_vars(b)
-                    touched = [x for x, (_, vs) in current.items() if a in vs]
-                    for x in touched:
-                        _, vs = current.pop(x)
-                        y = subst_constraint(sub, x)
-                        current[y] = (constraint_key(y), (vs - {a}) | b_vars)
-                    changed = True
-                    break
-            if changed:
-                break
-    store = store_from(sorted(current, key=lambda c: current[c][0]))
-    if store is None:
-        # Elimination cannot introduce inconsistency; be safe anyway.
-        return frozenset(current)
-    return solver.simplify(store)
+    return subst_constraints(ren, projected)
 
 
 def _answer_key(a: Answer) -> tuple:

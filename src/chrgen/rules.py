@@ -128,7 +128,7 @@ def parse_rules(text: str) -> RuleSet:
         if not line:
             continue
         p = _Parser(line)
-        lhs = frozenset(p.constraint_list())
+        lhs = frozenset(c for c, _ in p.constraint_list())
         arrow = p.eat(kind="op").text
         if arrow not in ("==>", "<=>"):
             p.error(f"expected ==> or <=>, found {arrow!r}")

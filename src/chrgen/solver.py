@@ -11,7 +11,7 @@ generation, it cannot let an invalid rule through.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Optional
+from typing import Container, Iterable, Mapping, Optional
 
 from .terms import (
     NEGATION,
@@ -21,6 +21,7 @@ from .terms import (
     Constraint,
     Term,
     Var,
+    constraint_key,
 )
 
 
@@ -55,6 +56,8 @@ _WALK_BUDGET = 32
 _LOG_SEARCH = 64
 _CACHE_SLOTS = 4
 
+
+_NO_NAMES: Mapping = {}
 
 # Trail entries come in pairs: a variable, then what to undo for it.
 _UNBOUND = object()  # the variable was bound
@@ -241,18 +244,51 @@ class Store:
         cache[id(log)] = (log, free)
         return free
 
-    def find(self, t: Term, memo: Optional[dict] = None) -> Term:
-        if memo is not None:
-            hit = memo.get(t)
-            if hit is not None:
-                return hit
-        start = t
-        t = self.walk(t)
-        if isinstance(t, Compound):
-            t = Compound(t.functor, tuple(self.find(a, memo) for a in t.args))
-        if memo is not None:
-            memo[start] = t
-        return t
+    def find(
+        self, t: Term, memo: Optional[dict] = None, names: Mapping[Var, Term] = _NO_NAMES
+    ) -> Term:
+        """t with every variable resolved under the bindings, down to the
+        unbound representatives, each of which ``names`` may replace.
+
+        Iterative, so that a long list spine stays within Python's recursion
+        limit. ``memo`` caches resolved compounds by identity across calls
+        that pass the same ``names``; subterms that do not change are shared.
+        """
+        w = self.walk(t)
+        if w.__class__ is Var:
+            return names.get(w, w)
+        if w.__class__ is not Compound:
+            return w
+        if memo is None:
+            memo = {}
+        stack = [w]
+        while stack:
+            u = stack[-1]
+            if id(u) in memo:
+                stack.pop()
+                continue
+            pending = []
+            args = []
+            for a in u.args:
+                r = self.walk(a)
+                if r.__class__ is Var:
+                    r = names.get(r, r)
+                elif r.__class__ is Compound:
+                    hit = memo.get(id(r))
+                    if hit is None:
+                        pending.append(r)
+                        continue
+                    r = hit[1]
+                args.append(r)
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            same = all(new is old for new, old in zip(args, u.args))
+            # The compound is kept with its entry, so that its id is not
+            # reused while the memo lives.
+            memo[id(u)] = (u, u if same else Compound(u.functor, tuple(args)))
+        return memo[id(w)][1]
 
     def _union(self, a: Term, b: Term, safe: Container[Var] = ()) -> bool:
         """Merge the classes of a and b; False on clash/occurs failure.
@@ -644,6 +680,38 @@ def simplify(s: Store) -> frozenset[Constraint]:
                 c = Constraint(c.functor, (r, l))
         out.append(c)
     return frozenset(out)
+
+
+def project(s: Store, keep: Iterable[Var]) -> frozenset[Constraint]:
+    """What the store says about the variables in ``keep``, every other
+    variable existentially quantified, as a simplified constraint set.
+
+    Read off the union-find, not the constraint list. Each unbound class is
+    named by its first kept member in name order. Every other kept variable
+    is equated with its class's name or with the term its class is bound
+    to; the disequalities and order edges follow, resolved the same way.
+    Only that residue is simplified. Variables outside ``keep`` remain only
+    where a kept one's term, or a disequality or order edge, needs them.
+    """
+    names: dict[Var, Var] = {}
+    bound = []
+    for v in sorted(keep):
+        r = s.walk(v)
+        if isinstance(r, Var) and r not in names:
+            names[r] = v
+        else:
+            bound.append(v)
+    memo: dict = {}
+    residue = {Constraint("eq", (v, s.find(v, memo, names))) for v in bound}
+    for rel, pairs in (("neq", s.suspended_neqs), ("lt", s.strict), ("le", s.nonstrict)):
+        for a, b in pairs:
+            residue.add(Constraint(rel, (s.find(a, memo, names), s.find(b, memo, names))))
+    store = store_from(sorted(residue, key=constraint_key))
+    if store is None:
+        # A projection of a consistent store cannot be inconsistent; be
+        # safe anyway.
+        return frozenset(residue)
+    return simplify(store)
 
 
 def dnf_satisfiable(

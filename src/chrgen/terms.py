@@ -76,22 +76,51 @@ class Compound(_Frozen):
         _init(self, "args", args)
 
     def __eq__(self, other):
+        # Iterative, so that a long list spine compares within Python's
+        # recursion limit. Hashes are cached on every subterm once the
+        # outer ones are taken, so unequal subterms usually differ there.
         if self is other:
             return True
         if not isinstance(other, Compound):
             return NotImplemented
         if hash(self) != hash(other):
             return False
-        return self.functor == other.functor and self.args == other.args
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a.functor != b.functor or len(a.args) != len(b.args):
+                return False
+            for x, y in zip(a.args, b.args):
+                if x is y:
+                    continue
+                if x.__class__ is Compound:
+                    if y.__class__ is not Compound or hash(x) != hash(y):
+                        return False
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __hash__(self):
-        # Deeply nested terms get hashed a lot; compute once.
+        # Deeply nested terms get hashed a lot; compute once. The value is
+        # hash((functor, args)); uncached compound arguments are hashed
+        # bottom-up first, so that the tuple hash never recurses deeply.
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.functor, self.args))
-            _init(self, "_hash", h)
-            return h
+            pass
+        stack = [self]
+        while stack:
+            t = stack[-1]
+            deeper = [
+                a for a in t.args if a.__class__ is Compound and not hasattr(a, "_hash")
+            ]
+            if deeper:
+                stack.extend(deeper)
+                continue
+            stack.pop()
+            _init(t, "_hash", hash((t.functor, t.args)))
+        return self._hash
 
     def __repr__(self):
         return f"{self.functor}({', '.join(map(repr, self.args))})"

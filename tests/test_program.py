@@ -91,6 +91,31 @@ def test_parse_error_positions():
         parse_goal("p(X), ")
 
 
+def test_undefined_predicate_is_reported_where_it_is_called():
+    text = "p(X) :- X=a.\n\nq(X) :- X=b,\n    r(X).\n"
+    with pytest.raises(ParseError, match="undefined predicate r/1") as err:
+        parse_program(text)
+    assert (err.value.line, err.value.col) == (4, 5)
+
+
+def test_user_defined_rhs_in_primitive_mode_is_reported_where_it_is_written():
+    text = "base: p(X)\ncand_lhs: X=a  % first\ncand_rhs: X=a,\n   q(X)\n"
+    with pytest.raises(ParseError, match="q") as err:
+        parse_spec(text, mode="primitive")
+    assert (err.value.line, err.value.col) == (4, 4)
+    # a syntax error in a section points into the file as well
+    with pytest.raises(ParseError, match="trailing input") as err:
+        parse_spec("base: p(X)\ncand_lhs:\n  X=a X=b\n")
+    assert (err.value.line, err.value.col) == (3, 7)
+
+
+def test_parse_goal_reads_a_long_list():
+    items = ",".join(["a"] * 1000)
+    (c,) = parse_goal(f"X=[{items}]")
+    (again,) = parse_goal(f"X=[{items}]")
+    assert c == again and hash(c) == hash(again)
+
+
 def test_format_constraint_symbols():
     (c,) = parse_goal("X#=<Y")
     assert format_constraint(c) == "X#=<Y"

@@ -7,17 +7,20 @@ instead of unfolding.
 """
 
 import itertools
+import re
+import time
 
 from chrgen import oracle
 from chrgen.program import parse_goal, parse_program
 from chrgen.resolution import (
     Answers,
     DepthExceeded,
+    Evaluation,
     Fails,
     evaluate,
 )
 from chrgen.solver import entails, store_from
-from chrgen.terms import Const
+from chrgen.terms import Const, constraints_vars, prim, subst_constraint
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +78,77 @@ def test_append_ground_answer(append_program):
     (answer,) = out.answers
     s = store_from(answer)
     assert all(entails(s, c) for c in parse_goal("Z=[a,b]"))
+
+
+# ---------------------------------------------------------------------------
+# Where answers are recorded and projected  [DERIVED]
+# ---------------------------------------------------------------------------
+
+
+def test_answers_are_recorded_only_at_the_root_or_producers(append_program):
+    # Only producers can ever have consumers, so an answer goes straight to
+    # the nearest producer above its leaf, or to the root.
+    lines = []
+    goal = parse_goal("append(X,Y,Z), X\\=[], Z\\=[]")
+    ev = Evaluation(append_program, goal, depth=20, trace=lines.append)
+    assert isinstance(ev.run("all_answers"), DepthExceeded)
+    producers = {e.idx for entries in ev.producers.values() for e in entries}
+    answered = {
+        int(re.match(r"answer: entry (\d+):", line).group(1))
+        for line in lines
+        if line.startswith("answer:")
+    }
+    assert answered and answered <= producers | {0}
+
+
+def test_all_answers_to_depth_40_is_fast(append_program):
+    # Each answer is projected once, not again at every ancestor.
+    goal = parse_goal("append(X,Y,Z), X\\=[], Z\\=[]")
+    start = time.perf_counter()
+    out = evaluate(append_program, goal, depth=40, mode="all_answers")
+    assert isinstance(out, DepthExceeded)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_finite_append_answer_sets_match_oracle(append_program):
+    terms = oracle.universe(["a", "b"], list_depth=3)
+    facts = oracle.success_set(append_program, terms)
+    for text in (
+        "append(X,Y,[a,b])",
+        "append(X,[b],Z), X=[a]",
+        "append(X,Y,[a,U]), U\\=a",
+    ):
+        goal = parse_goal(text)
+        out = evaluate(append_program, goal, mode="all_answers", tabling=True)
+        assert isinstance(out, Answers), text
+        variables = sorted(constraints_vars(goal))
+        # a ground instance satisfies some answer iff it is a solution
+        for combo in itertools.product(terms, repeat=len(variables)):
+            theta = dict(zip(variables, combo))
+            instance = [subst_constraint(theta, c) for c in goal]
+            expected = oracle.goal_has_ground_solution(instance, facts, terms)
+            bindings = [prim("eq", v, t) for v, t in theta.items()]
+            got = any(store_from(list(answer) + bindings) is not None for answer in out.answers)
+            assert got == expected, (text, combo)
+
+
+def test_answer_cap_is_traced(append_program):
+    # X=Z, Y=[] has an answer for every list length; the cap ends it.
+    lines = []
+    goal = parse_goal("append(X,Y,Z), X=Z, Y=[]")
+    out = evaluate(append_program, goal, mode="all_answers", answer_cap=8, trace=lines.append)
+    assert isinstance(out, DepthExceeded)
+    assert "cap: entry 0 reached the answer cap 8" in lines
+    assert sum(line.startswith("answer:") for line in lines) == 8
+
+
+def test_deep_answers_reach_the_answer_cap(append_program):
+    # Each answer is one list element longer than the last; the 350th
+    # binds X to 349 elements, which must hash and compare without running
+    # into Python's recursion limit.
+    goal = parse_goal("append(X,Y,Z), X=Z, Y=[]")
+    out = evaluate(append_program, goal, mode="all_answers", answer_cap=350)
+    assert isinstance(out, DepthExceeded)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from chrgen.solver import (
     dnf_satisfiable,
     entails,
     negate,
+    project,
     satisfiable,
     simplify,
     store_from,
@@ -284,6 +285,41 @@ def test_simplify_equivalent():
     s2 = store_from(out)
     assert all(entails(s2, c) for c in cs)
     assert all(entails(s, c) for c in out)
+
+
+def test_project_names_each_class_by_its_first_kept_variable():
+    A, B, C, D = Var("A"), Var("B"), Var("C"), Var("D")
+    s = store_from([prim("eq", B, A), prim("eq", C, B), prim("eq", D, cons(C, NIL))])
+    # B is eliminated; C joins A's class, and D's term names that class A
+    assert project(s, {A, C, D}) == {prim("eq", A, C), prim("eq", D, cons(A, NIL))}
+
+
+def test_project_resolves_disequalities_and_order_edges():
+    H, T, L = Var("H"), Var("T"), Var("L")
+    s = store_from([
+        prim("eq", X, cons(H, T)), prim("eq", T, NIL), prim("eq", Y, H),
+        prim("neq", H, a), prim("le", Z, L), prim("eq", L, c2),
+    ])
+    assert project(s, {X, Y, Z}) == {
+        prim("eq", X, cons(Y, NIL)), prim("neq", Y, a), prim("le", Z, c2),
+    }
+
+
+def test_project_keeps_what_it_cannot_eliminate():
+    L = Var("L")
+    s = store_from([prim("le", X, L), prim("le", L, Y), prim("neq", L, c1)])
+    out = project(s, {X, Y})
+    # sound: the projection says no more than the store; the local stays
+    s2 = store_from(out)
+    assert all(entails(s2, c) for c in s.constraints)
+    assert all(entails(s, c) for c in out)
+
+
+def test_find_resolves_a_long_chain_without_recursion():
+    n = 3000
+    vs = [Var(f"V{i}") for i in range(n + 1)]
+    s = store_from([prim("eq", vs[i], cons(a, vs[i + 1])) for i in range(n)])
+    assert s.find(vs[0]) == make_list([a] * n, vs[n])
 
 
 # ---------------------------------------------------------------------------

@@ -214,3 +214,49 @@ def test_match_term_one_way():
     assert s == {X: b}
     # matching never instantiates the target side
     assert match_term(f(a), f(Y), {}) is None
+
+
+# ---------------------------------------------------------------------------
+# Deep terms: hashing and equality without recursion  [DERIVED]
+# ---------------------------------------------------------------------------
+
+
+class _Hashed:
+    """Stands in for a term inside a tuple: the tuple hash reads only the
+    hashes of its elements."""
+
+    def __init__(self, h):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
+def _reference_hash(t):
+    # The documented value, hash((functor, args)), computed recursively.
+    if not isinstance(t, Compound):
+        return hash(t)
+    return hash((t.functor, tuple(_Hashed(_reference_hash(x)) for x in t.args)))
+
+
+def test_compound_hash_is_the_tuple_hash_of_functor_and_args():
+    # Set orders, and so outputs, depend on these values.
+    terms = [
+        f(X),
+        f(a, X, NIL),
+        make_list([a, b, X], Y),
+        f(make_list([f(a), X]), f(f(f(Y)))),
+        make_list([f(Z, make_list([a] * 5))] * 40),
+    ]
+    for t in terms:
+        assert hash(t) == _reference_hash(t)
+
+
+def test_deep_terms_hash_and_compare_without_recursion():
+    n = 5000
+    left, right = make_list([a] * n, X), make_list([a] * n, X)
+    assert hash(left) == hash(right)
+    assert left == right and not left != right
+    assert make_list([a] * n, Y) != left
+    assert make_list([a] * (n - 1) + [b], X) != left
+    assert len({prim("eq", Z, left), prim("eq", Z, right)}) == 1
