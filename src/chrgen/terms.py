@@ -143,21 +143,35 @@ def make_list(items: Iterable[Term], tail: Term = NIL) -> Term:
 
 
 def term_vars(t: Term) -> set[Var]:
-    if isinstance(t, Var):
-        return {t}
-    if isinstance(t, Compound):
-        out: set[Var] = set()
-        for a in t.args:
-            out |= term_vars(a)
-        return out
-    return set()
+    # Iterative, so that a long list spine stays within the recursion limit.
+    out: set[Var] = set()
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            out.add(t)
+        elif isinstance(t, Compound):
+            stack.extend(t.args)
+    return out
 
 
-def occurs(v: Var, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t == v
-    if isinstance(t, Compound):
-        return any(occurs(v, a) for a in t.args)
+def occurs(v: Var, t: Term, s: Optional[Mapping[Var, Term]] = None) -> bool:
+    """Whether v occurs in t; with s, bound variables are read through s.
+    Iterative, like :func:`term_vars`."""
+    stack = [t]
+    seen: set[Var] = set()
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            if t == v:
+                return True
+            if s and t not in seen:
+                seen.add(t)
+                bound = s.get(t)
+                if bound is not None:
+                    stack.append(bound)
+        elif isinstance(t, Compound):
+            stack.extend(t.args)
     return False
 
 
@@ -243,20 +257,44 @@ def constraints_vars(cs: Iterable[Constraint]) -> set[Var]:
 Subst = dict[Var, Term]
 
 
-def apply_subst(s: Mapping[Var, Term], t: Term) -> Term:
-    """t under s; subterms that s leaves unchanged are returned as they are."""
-    if isinstance(t, Var):
+def _walk(s: Mapping[Var, Term], t: Term) -> Term:
+    """t with its binding chain in s followed, at the top only."""
+    while isinstance(t, Var):
         bound = s.get(t)
         if bound is None or bound == t:
-            return t
-        # Walk chains so application is idempotent on composed substitutions.
-        return apply_subst(s, bound) if isinstance(bound, (Var, Compound)) else bound
-    if isinstance(t, Compound):
-        args = tuple(apply_subst(s, a) for a in t.args)
-        if all(new is old for new, old in zip(args, t.args)):
-            return t
-        return Compound(t.functor, args)
+            break
+        t = bound
     return t
+
+
+def apply_subst(s: Mapping[Var, Term], t: Term) -> Term:
+    """t under s; subterms that s leaves unchanged are returned as they are.
+
+    Bound variables are followed through s, so application is idempotent on
+    composed substitutions. Iterative, so that a long list spine stays
+    within the recursion limit: each stack frame holds a compound subterm,
+    an iterator over its arguments and the arguments rebuilt so far.
+    """
+    t = _walk(s, t)
+    if not s or t.__class__ is not Compound:
+        return t
+    stack = [(t, iter(t.args), [])]
+    while True:
+        term, rest, args = stack[-1]
+        for a in rest:
+            if a.__class__ is Var:
+                a = _walk(s, a)
+            if a.__class__ is Compound:
+                stack.append((a, iter(a.args), []))
+                break
+            args.append(a)
+        else:
+            stack.pop()
+            if any(new is not old for new, old in zip(args, term.args)):
+                term = Compound(term.functor, tuple(args))
+            if not stack:
+                return term
+            stack[-1][2].append(term)
 
 
 def rename_term(s: Mapping[Var, Var], t: Term) -> Term:
@@ -315,16 +353,18 @@ def unify(t1: Term, t2: Term, s: Optional[Subst] = None) -> Optional[Subst]:
     stack = [(t1, t2)]
     while stack:
         a, b = stack.pop()
-        a = apply_subst(s, a)
-        b = apply_subst(s, b)
+        # Only the top of each side is resolved; bindings stay triangular
+        # until the end, so a long list is not walked again at each cell.
+        a = _walk(s, a)
+        b = _walk(s, b)
         if a == b:
             continue
         if isinstance(a, Var):
-            if occurs(a, b):
+            if occurs(a, b, s):
                 return None
             s[a] = b
         elif isinstance(b, Var):
-            if occurs(b, a):
+            if occurs(b, a, s):
                 return None
             s[b] = a
         elif isinstance(a, Compound) and isinstance(b, Compound):

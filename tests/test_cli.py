@@ -1,9 +1,14 @@
 """End-to-end command line runs, driven through cli.main directly."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chrgen
 from chrgen.cli import main
 
 from conftest import DATA
@@ -69,6 +74,33 @@ def test_validate_flags_bad_rule(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "VIOLATION" in out
+
+
+def test_validate_output_does_not_depend_on_the_hash_seed(tmp_path):
+    rules = tmp_path / "in.rules"
+    rules.write_text(
+        "append(X,Y,Z), Y\\=[] ==> X=Z.\n"
+        "append(X,Y,Z), X=[] ==> Y=Z.\n"
+        "append(X,Y,Z), Y=[] ==> X\\=Z ; Z=[].\n"
+    )
+    src = str(Path(chrgen.__file__).parent.parent)
+    outputs = []
+    for seed in ("0", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-m", "chrgen", "validate", str(rules),
+             "--program", str(DATA / "append.clp"),
+             "--constants", "a,b", "--list-depth", "2"],
+            capture_output=True, env=env, check=False,
+        )
+        assert run.returncode == 1, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert (
+        b"VIOLATION: counterexample [X=[], Y=a, Z=a] to "
+        b"append(X,Y,Z), Y\\=[] ==> X=Z.\n"
+    ) in outputs[0]
+    assert b"[X=[a], Y=[], Z=[a]]" in outputs[0]
 
 
 def test_validate_runs_goals(tmp_path, capsys):

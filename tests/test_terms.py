@@ -260,3 +260,19 @@ def test_deep_terms_hash_and_compare_without_recursion():
     assert make_list([a] * n, Y) != left
     assert make_list([a] * (n - 1) + [b], X) != left
     assert len({prim("eq", Z, left), prim("eq", Z, right)}) == 1
+
+
+def test_deep_terms_unify_and_collect_variables_without_recursion():
+    n = 3000
+    cells = [Var(f"X{i}") for i in range(n)]
+    open_list = make_list(cells, Y)
+    ground = make_list([a] * n)
+    assert constraints_vars([prim("eq", Z, open_list)]) == {Z, Y, *cells}
+    assert occurs(Y, open_list) and not occurs(W, open_list)
+    s = unify(open_list, ground)
+    assert s == {**{v: a for v in cells}, Y: NIL}
+    assert unify(Z, ground) == {Z: ground}
+    # A binding made deep in one list is read back through another.
+    s = unify(f(make_list([X] * n, Y), X), f(make_list([b] * n, Z), W))
+    assert s == {X: b, Y: Z, W: b}
+    assert unify(f(open_list, Y), f(Z, open_list)) is None  # occurs check
