@@ -28,7 +28,6 @@ from .terms import (
     match_subst_constraints,
     renaming_for,
     subst_constraint,
-    subst_constraints,
 )
 
 
@@ -238,7 +237,12 @@ def mine_splitting(
     rs = RuleSet()
     base = spec.base_lhs
     prior_rules = list(prior.rules) if prior else []
-    cand_rhs = _primitive_rhs(spec)
+    # A pair whose negations contradict each other outright gives the
+    # tautology d1 ; d2, not worth emitting; that depends on the pair only.
+    pairs = [
+        (d1, d2, not solver.satisfiable([negate(d1), negate(d2)]))
+        for d1, d2 in itertools.combinations(_primitive_rhs(spec), 2)
+    ]
 
     def redundant(lhs: frozenset, d1: Constraint, d2: Constraint) -> bool:
         return any(
@@ -252,17 +256,15 @@ def mine_splitting(
         lhs = base | c_lhs
         if any(r.kind == "failure" and r.lhs <= lhs for r in prior_rules):
             continue
-        for d1, d2 in itertools.combinations(cand_rhs, 2):
+        for d1, d2, tautology in pairs:
             if d1 in lhs or d2 in lhs:
                 continue
             if redundant(lhs, d1, d2):
                 engine.stats.skipped_redundant_splitting += 1
                 continue
-            goal = lhs | {negate(d1), negate(d2)}
-            if not solver.satisfiable([negate(d1), negate(d2)]):
-                # not(d1) and not(d2) contradict each other outright: the
-                # split d1 ; d2 is a tautology, not worth emitting.
+            if tautology:
                 continue
+            goal = lhs | {negate(d1), negate(d2)}
             outcome = engine.goal_fails(goal)
             if isinstance(outcome, Fails):
                 rs.add(
@@ -338,34 +340,27 @@ def mine_general(
 # ---------------------------------------------------------------------------
 
 
-def _closure(lhs: frozenset, kept: Iterable[Rule], rounds: int = 10) -> Optional[frozenset]:
-    """Saturate a constraint set under the kept rules (propagation reading).
-    Returns None when the closure turns inconsistent."""
+def _closure(
+    lhs: frozenset, kept: Iterable[tuple[Rule, list[Constraint]]], rounds: int = 10
+) -> Optional[frozenset]:
+    """Saturate a constraint set under the kept rules (propagation reading),
+    each given with its lhs sorted by constraint key. Returns None when the
+    closure turns inconsistent.
+
+    The rules are not renamed apart from the set. Matching is one-way: a
+    matcher binds only the rule's lhs variables, to terms of the set, and
+    is never applied to the set, so a name the two share means nothing.
+    The matcher replaces every lhs variable in the rhs; the rhs variables
+    it leaves alone were renamed apart once, when the rule was kept.
+    """
     current = set(lhs)
-    # Rename each rule apart so its variables cannot collide with the set
-    # being saturated.
-    renamed: list[Rule] = []
-    for r in kept:
-        if r.kind == "splitting":
-            continue
-        ren = renaming_for(constraints_vars([*r.lhs, *r.rhs]), prefix="_S")
-        renamed.append(
-            Rule(
-                r.kind,
-                subst_constraints(ren, r.lhs),
-                tuple(subst_constraint(ren, c) for c in r.rhs),
-                r.provenance,
-            )
-        )
     for _ in range(rounds):
         added = False
-        for r in renamed:
-            for sigma in match_into(sorted(r.lhs, key=constraint_key), current):
+        for r, r_lhs in kept:
+            for sigma in match_into(r_lhs, current):
                 if r.kind == "failure":
                     return None
                 for c in match_subst_constraints(sigma, r.rhs):
-                    # Skip rhs constraints with unbound local variables; they
-                    # carry only existential information.
                     if c not in current:
                         current.add(c)
                         added = True
@@ -377,12 +372,27 @@ def _closure(lhs: frozenset, kept: Iterable[Rule], rounds: int = 10) -> Optional
     return frozenset(current)
 
 
+def _closure_entry(rule: Rule) -> tuple[Rule, list[Constraint]]:
+    """A kept rule as :func:`_closure` reads it: the rule, with the rhs
+    variables that its lhs does not bind renamed apart, and its lhs sorted
+    by constraint key."""
+    local = constraints_vars(rule.rhs) - constraints_vars(rule.lhs)
+    if local:
+        ren = renaming_for(local, prefix="_S")
+        rule = Rule(
+            rule.kind, rule.lhs, tuple(subst_constraint(ren, c) for c in rule.rhs),
+            rule.provenance,
+        )
+    return rule, sorted(rule.lhs, key=constraint_key)
+
+
 def simplify_ruleset(rs: RuleSet) -> RuleSet:
     """Order rules most-general-lhs first, simplify every rhs against the
     primitive solver and the already-kept rules, and drop rules whose rhs
-    becomes empty or whose lhs is inconsistent with the kept rules."""
+    becomes empty or whose lhs is inconsistent with the kept rules.
+    Splitting rules are kept in the output but never saturate a closure."""
     ordered = sorted(rs.rules, key=Rule.sort_key)
-    kept: list[Rule] = []
+    kept: list[tuple[Rule, list[Constraint]]] = []
     out = RuleSet(stats=dict(rs.stats))
     for rule in ordered:
         closure = _closure(rule.lhs, kept)
@@ -390,7 +400,7 @@ def simplify_ruleset(rs: RuleSet) -> RuleSet:
             continue  # lhs unsatisfiable given kept rules: rule is vacuous
         if rule.kind == "failure":
             out.add(rule)
-            kept.append(rule)
+            kept.append(_closure_entry(rule))
             continue
         if rule.kind == "splitting":
             if any(d in closure for d in rule.rhs):
@@ -401,14 +411,13 @@ def simplify_ruleset(rs: RuleSet) -> RuleSet:
             ):
                 continue
             out.add(rule)
-            kept.append(rule)
             continue
         rhs = _simplify_rhs(rule, closure)
         if not rhs:
             continue
         new_rule = Rule(rule.kind, rule.lhs, rhs, rule.provenance)
         if out.add(new_rule):
-            kept.append(new_rule)
+            kept.append(_closure_entry(new_rule))
     return out
 
 

@@ -297,20 +297,6 @@ def apply_subst(s: Mapping[Var, Term], t: Term) -> Term:
             stack[-1][2].append(term)
 
 
-def rename_term(s: Mapping[Var, Var], t: Term) -> Term:
-    """One-shot variable renaming; no chain walking, safe when old and new
-    name spaces overlap."""
-    if isinstance(t, Var):
-        return s.get(t, t)
-    if isinstance(t, Compound):
-        return Compound(t.functor, tuple(rename_term(s, a) for a in t.args))
-    return t
-
-
-def rename_constraint(s: Mapping[Var, Var], c: "Constraint") -> "Constraint":
-    return Constraint(c.functor, tuple(rename_term(s, a) for a in c.args))
-
-
 def apply_match(s: Mapping[Var, Term], t: Term) -> Term:
     """Apply a matching substitution: pattern variables are replaced by
     their bindings verbatim, with no substitution inside the replacement.
@@ -401,56 +387,97 @@ def renaming_for(vars_: Iterable[Var], prefix: str = "_G") -> Subst:
 
 
 def _term_key(t: Term) -> tuple:
-    if isinstance(t, Var):
-        return (0, t.id)
-    if isinstance(t, Const):
+    """Sort key of a term: ``(0, name)`` for a variable, ``(1, name)`` for a
+    constant and ``(2, functor, argument keys)`` for a compound. Iterative,
+    so that a long list spine stays within the recursion limit; each stack
+    frame holds a compound, an iterator over its arguments and their keys
+    so far."""
+    cls = t.__class__
+    if cls is Var:
+        return (0, t[0])
+    if cls is Const:
         return (1, t.name)
-    return (2, t.functor, tuple(_term_key(a) for a in t.args))
+    stack = [(t, iter(t.args), [])]
+    while True:
+        term, rest, keys = stack[-1]
+        for a in rest:
+            cls = a.__class__
+            if cls is Var:
+                keys.append((0, a[0]))
+            elif cls is Const:
+                keys.append((1, a.name))
+            else:
+                stack.append((a, iter(a.args), []))
+                break
+        else:
+            stack.pop()
+            key = (2, term.functor, tuple(keys))
+            if not stack:
+                return key
+            stack[-1][2].append(key)
 
 
 def constraint_key(c: Constraint) -> tuple:
-    return (c.functor, tuple(_term_key(a) for a in c.args))
-
-
-def canonical(cs: Iterable[Constraint]) -> tuple[Constraint, ...]:
-    """Canonical form of a constraint set: variables renumbered V1, V2, ... in
-    first-occurrence order over the sorted constraint sequence.
-
-    Two sets are variants (equal up to renaming) iff their canonical forms are
-    equal. Sorting happens before renumbering, so the result is order
-    independent; a fixpoint loop handles sort order shifting after renaming.
-    """
-    current = tuple(sorted(set(cs), key=constraint_key))
-    for _ in range(3 + len(current)):
-        mapping = _numbering(current)
-        if all(old == new for old, new in mapping.items()):
-            return current  # renaming would change nothing
-        renamed = tuple(sorted((rename_constraint(mapping, c) for c in current), key=constraint_key))
-        if renamed == current:
-            return current
-        current = renamed
-    return current
-
-
-def _numbering(cs: Iterable[Constraint]) -> Subst:
-    """Map each variable to V1, V2, ... in left-to-right first-occurrence
-    order over the constraints' arguments."""
-    mapping: Subst = {}
-    for c in cs:
-        stack = list(reversed(c.args))
-        while stack:
-            t = stack.pop()
-            if isinstance(t, Var):
-                if t not in mapping:
-                    mapping[t] = Var(f"V{len(mapping) + 1}")
-            elif isinstance(t, Compound):
-                stack.extend(reversed(t.args))
-    return mapping
+    return (c.functor, tuple([_term_key(a) for a in c.args]))
 
 
 def canonical_key(cs: Iterable[Constraint]) -> tuple:
-    """Totally ordered (and hashable) image of :func:`canonical`."""
-    return tuple(constraint_key(c) for c in canonical(cs))
+    """Canonical key of a constraint set: the sorted constraint keys, with
+    variables renumbered V1, V2, ... in first-occurrence order over them.
+
+    Two sets are variants (equal up to renaming) iff their keys are equal,
+    and the keys are totally ordered. Sorting happens before renumbering, so
+    the result is order independent; renumbering can move a constraint in
+    the sort order, so it is repeated until it renames nothing, or at most
+    ``3 + len(set(cs))`` times. Each constraint's key is computed once; the
+    renumbering works on the keys themselves and keeps every part of a key
+    that it does not rename, so that the fixpoint test compares no deep
+    keys.
+    """
+    keys = sorted([constraint_key(c) for c in frozenset(cs)])
+    for _ in range(3 + len(keys)):
+        names: dict[str, tuple] = {}
+        renamed = [_renumbered(key, names) for key in keys]
+        if all(new is old for new, old in zip(renamed, keys)):
+            break
+        renamed.sort()
+        keys = renamed
+    return tuple(keys)
+
+
+def _renumbered(key: tuple, names: dict[str, tuple]) -> tuple:
+    """A constraint or term key with its variables renamed through
+    ``names``, which maps each variable name met so far to its new key: V1,
+    V2, ... in left-to-right first-occurrence order, and gains the
+    variables met for the first time. The key itself is returned, and so is
+    every subterm key, when nothing in it is renamed. Iterative, so that a
+    long list spine stays within the recursion limit: each stack frame
+    holds a key, an iterator over its argument keys (its last item) and the
+    new argument keys so far."""
+    stack = [(key, iter(key[-1]), [])]
+    while True:
+        term, rest, new = stack[-1]
+        for a in rest:
+            tag = a[0]
+            if tag == 0:
+                renamed = names.get(a[1])
+                if renamed is None:
+                    name = f"V{len(names) + 1}"
+                    renamed = names[a[1]] = a if a[1] == name else (0, name)
+                a = renamed
+            elif tag == 2:
+                stack.append((a, iter(a[2]), []))
+                break
+            new.append(a)
+        else:
+            stack.pop()
+            for n, o in zip(new, term[-1]):
+                if n is not o:
+                    term = (*term[:-1], tuple(new))
+                    break
+            if not stack:
+                return term
+            stack[-1][2].append(term)
 
 
 # ---------------------------------------------------------------------------

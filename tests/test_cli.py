@@ -11,7 +11,7 @@ import pytest
 import chrgen
 from chrgen.cli import main
 
-from conftest import DATA
+from conftest import DATA, GOLDEN
 
 
 def test_generate_min_text(capsys):
@@ -101,6 +101,28 @@ def test_validate_output_does_not_depend_on_the_hash_seed(tmp_path):
         b"append(X,Y,Z), Y\\=[] ==> X=Z.\n"
     ) in outputs[0]
     assert b"[X=[a], Y=[], Z=[a]]" in outputs[0]
+
+
+def test_min_pipeline_output_bytes(tmp_path):
+    # The README pipeline under a fixed hash seed: generate in mode all,
+    # then transform its output; both stdouts must match the goldens byte
+    # for byte.
+    env = {**os.environ, "PYTHONHASHSEED": "0",
+           "PYTHONPATH": str(Path(chrgen.__file__).parent.parent)}
+
+    def chrgen_stdout(*args):
+        run = subprocess.run([sys.executable, "-m", "chrgen", *args],
+                             capture_output=True, env=env, check=False)
+        assert run.returncode == 0, run.stderr
+        return run.stdout
+
+    mined = chrgen_stdout("generate", str(DATA / "min.clp"), str(DATA / "min.spec"),
+                          "--mode", "all")
+    assert mined == (GOLDEN / "min_all.txt").read_bytes()
+    rules = tmp_path / "min.rules"
+    rules.write_bytes(mined)
+    simplified = chrgen_stdout("transform", str(rules), str(DATA / "min.clp"))
+    assert simplified == (GOLDEN / "min_all_transform.txt").read_bytes()
 
 
 def test_validate_runs_goals(tmp_path, capsys):

@@ -200,6 +200,20 @@ def test_duplicate_variants_collapse():
     assert len(out) == 1
 
 
+def test_rhs_local_variables_stay_apart_from_the_closure():
+    # Y in the first rule's rhs is existential: saturating p(X), r(Y) with
+    # it adds q(X,_), not q(X,Y), so the second rule is not redundant.
+    rs = parse_rules(
+        """
+        p(X) ==> q(X,Y).
+        p(X), r(Y) ==> q(X,Y).
+        """
+    )
+    assert rule_lines(simplify_ruleset(rs)) == {
+        "p(X) ==> q(X,Y).", "p(X), r(Y) ==> q(X,Y)."
+    }
+
+
 def test_empty_rhs_dropped():
     rs = parse_rules(
         """

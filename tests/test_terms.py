@@ -1,8 +1,9 @@
-"""Terms, unification, canonical forms, and theta-subsumption.
+"""Terms, unification, canonical keys, and theta-subsumption.
 
 The subsumption oracle enumerates every mapping from pattern variables to
 subterms of the target, so `match_into` can be cross-checked without
-relying on the matcher under test.
+relying on the matcher under test. Canonical keys are cross-checked against
+a reference that renames constraints rather than keys.
 """
 
 import gc
@@ -11,6 +12,8 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chrgen.program import parse_spec
+from chrgen.rules import parse_rules
 from chrgen.terms import (
     Compound,
     Const,
@@ -19,9 +22,9 @@ from chrgen.terms import (
     apply_match,
     apply_subst,
     atom,
-    canonical,
     canonical_key,
     cons,
+    constraint_key,
     constraint_vars,
     constraints_vars,
     make_list,
@@ -33,6 +36,8 @@ from chrgen.terms import (
     unify,
     NIL,
 )
+
+from conftest import DATA, GOLDEN
 
 X, Y, Z, W = Var("X"), Var("Y"), Var("Z"), Var("W")
 a, b = Const("a"), Const("b")
@@ -97,19 +102,68 @@ def test_unify_reflexive(t):
 
 
 # ---------------------------------------------------------------------------
-# Canonical forms
+# Canonical keys, against a reference that renames constraints  [DERIVED]
 # ---------------------------------------------------------------------------
+
+
+def _rename_term(s, t):
+    if isinstance(t, Var):
+        return s.get(t, t)
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(_rename_term(s, a) for a in t.args))
+    return t
+
+
+def _numbering(cs):
+    mapping = {}
+    for c in cs:
+        stack = list(reversed(c.args))
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Var):
+                if t not in mapping:
+                    mapping[t] = Var(f"V{len(mapping) + 1}")
+            elif isinstance(t, Compound):
+                stack.extend(reversed(t.args))
+    return mapping
+
+
+def reference_canonical(cs):
+    """Canonical form of a constraint set: variables renumbered V1, V2, ...
+    in first-occurrence order over the sorted constraints, renaming and
+    re-sorting the constraints themselves to a fixpoint."""
+    current = tuple(sorted(set(cs), key=constraint_key))
+    for _ in range(3 + len(current)):
+        mapping = _numbering(current)
+        if all(old == new for old, new in mapping.items()):
+            return current
+        renamed = tuple(
+            sorted(
+                (Constraint(c.functor, tuple(_rename_term(mapping, a) for a in c.args))
+                 for c in current),
+                key=constraint_key,
+            )
+        )
+        if renamed == current:
+            return current
+        current = renamed
+    return current
+
+
+def reference_key(cs):
+    return tuple(constraint_key(c) for c in reference_canonical(cs))
 
 
 def test_canonical_is_renaming_invariant():
     cs1 = [atom("p", X, Y), prim("eq", X, a)]
     cs2 = [atom("p", Z, W), prim("eq", Z, a)]
-    assert canonical(cs1) == canonical(cs2)
+    assert reference_canonical(cs1) == reference_canonical(cs2)
     assert canonical_key(cs1) == canonical_key(cs2)
 
 
 def test_canonical_distinguishes_sharing():
-    assert canonical([atom("p", X, X)]) != canonical([atom("p", X, Y)])
+    assert canonical_key([atom("p", X, X)]) != canonical_key([atom("p", X, Y)])
+    assert reference_canonical([atom("p", X, X)]) != reference_canonical([atom("p", X, Y)])
 
 
 def test_canonical_order_independent():
@@ -130,8 +184,9 @@ def test_canonical_order_independent():
 )
 def test_canonical_fixpoint(cs):
     # [DERIVED] canonicalizing twice changes nothing
-    once = canonical(cs)
-    assert canonical(once) == once
+    once = reference_canonical(cs)
+    assert reference_canonical(once) == once
+    assert canonical_key(once) == canonical_key(cs) == reference_key(cs)
 
 
 def test_canonical_and_match_into_leave_no_cyclic_garbage():
@@ -141,11 +196,72 @@ def test_canonical_and_match_into_leave_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        canonical(cs)
+        canonical_key(cs)
         assert len(list(match_into([atom("p", W)], cs))) == 1
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _specs():
+    for path in sorted(DATA.glob("*.spec")):
+        yield path.name, parse_spec(path.read_text(), mode="general")
+
+
+def _subsets(cands):
+    for size in range(len(cands) + 1):
+        yield from itertools.combinations(cands, size)
+
+
+def _marked(lhs, rhs):
+    # The list Rule.canonical_key canonicalizes: lhs and rhs together, the
+    # rhs constraints marked with their position.
+    return list(lhs) + [
+        Constraint(f"$rhs_{i}_{c.functor}", c.args) for i, c in enumerate(rhs)
+    ]
+
+
+def test_canonical_key_matches_reference_on_every_spec_subset():
+    checked = 0
+    for name, spec in _specs():
+        for subset in _subsets(spec.cand_lhs):
+            for cs in (subset, spec.base_lhs | set(subset)):
+                assert canonical_key(cs) == reference_key(cs), (name, subset)
+                checked += 1
+            rhs = tuple(d for d in spec.cand_rhs if d not in subset)
+            marked = _marked(spec.base_lhs | set(subset), rhs)
+            assert canonical_key(marked) == reference_key(marked), (name, subset)
+    assert checked > 2 * (4096 + 1024)
+
+
+def test_rule_keys_match_reference_on_golden_rules():
+    for path in sorted(GOLDEN.glob("*.txt")):
+        for rule in parse_rules(path.read_text()).rules:
+            marked = _marked(rule.lhs, rule.rhs)
+            assert rule.canonical_key() == (rule.kind, reference_key(marked))
+            assert canonical_key(rule.lhs) == reference_key(rule.lhs)
+
+
+_NAMES = ["X", "Y", "Z", "V1", "V2", "V3", "V10"]
+_terms = st.recursive(
+    st.one_of(st.sampled_from([Var(n) for n in _NAMES]), st.sampled_from([a, b, NIL])),
+    lambda sub: st.one_of(
+        st.builds(cons, sub, sub),
+        st.builds(lambda xs: Compound("f", tuple(xs)), st.lists(sub, min_size=1, max_size=3)),
+    ),
+    max_leaves=6,
+)
+_constraints = st.one_of(
+    st.builds(prim, st.sampled_from(["eq", "neq", "le"]), _terms, _terms),
+    st.builds(lambda fn, xs: Constraint(fn, tuple(xs)), st.sampled_from(["p", "q"]),
+              st.lists(_terms, max_size=3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_constraints, max_size=5))
+def test_canonical_key_matches_reference(cs):
+    assert canonical_key(cs) == reference_key(cs)
 
 
 # ---------------------------------------------------------------------------
@@ -276,3 +392,28 @@ def test_deep_terms_unify_and_collect_variables_without_recursion():
     s = unify(f(make_list([X] * n, Y), X), f(make_list([b] * n, Z), W))
     assert s == {X: b, Y: Z, W: b}
     assert unify(f(open_list, Y), f(Z, open_list)) is None  # occurs check
+
+
+def _list_tail(key, n):
+    """The tail key of an n-cell list of a's, walked down its spine;
+    comparing deep keys whole would recurse."""
+    for _ in range(n):
+        assert key[:2] == (2, "cons") and key[2][0] == (1, "a")
+        key = key[2][1]
+    return key
+
+
+def test_deep_terms_keyed_without_recursion():
+    n = 3000
+    c = prim("eq", Z, make_list([a] * n, Y))
+    key = constraint_key(c)
+    assert key[0] == "eq" and key[1][0] == (0, "Z")
+    assert _list_tail(key[1][1], n) == (0, "Y")
+    for cs in (
+        [c, prim("eq", Z, make_list([a] * n, Y)), atom("p", Y)],
+        [prim("eq", W, make_list([a] * n, X)), atom("p", X)],
+    ):
+        canon = canonical_key(cs)
+        assert len(canon) == 2 and canon[1] == ("p", ((0, "V2"),))
+        assert canon[0][0] == "eq" and canon[0][1][0] == (0, "V1")
+        assert _list_tail(canon[0][1][1], n) == (0, "V2")
