@@ -11,7 +11,6 @@ from . import emit as emit_mod
 from . import miner, oracle, runtime, transform
 from .program import ParseError, format_constraint, parse_goal, parse_program, parse_spec
 from .rules import RuleSet, format_ruleset, parse_rules, ruleset_to_json
-from .solver import BlowupExceeded
 
 
 def _miner_options(args) -> miner.MinerOptions:
@@ -225,7 +224,7 @@ def main(argv=None) -> int:
     except (ParseError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (BlowupExceeded, runtime.StepLimitExceeded, RecursionError) as exc:
+    except (runtime.StepLimitExceeded, RecursionError) as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return 2
 

@@ -147,7 +147,10 @@ def _clause_heads(
     match facts derived before ``now``, at least one of them since
     ``previous`` (any of them when the clause was not evaluated before).
     ``now`` and ``previous`` give the number of facts of each predicate at
-    the two evaluations."""
+    the two evaluations. Variables left in the head are bound by matching
+    its arguments against the universe terms; only those that occur in no
+    head argument are enumerated over the universe."""
+    term_set = set(terms)
     keys = [(atom.functor, len(atom.args)) for atom in body_user]
     if previous is None:
         plans = [[(0, now.get(key, 0)) for key in keys]]
@@ -189,18 +192,32 @@ def _clause_heads(
                     return
         head = subst_constraint(s, clause.head)
         rest = [subst_constraint(s, c) for c in body_prim if c.functor != "eq"]
+        head_vars = constraint_vars(head)
+        # The body atoms matched ground facts: only primitives keep variables.
         free = sorted(
-            {
-                v
-                for c in [clause.head, *body_user, *body_prim]
-                for v in constraint_vars(subst_constraint(s, c))
-            },
+            constraints_vars(subst_constraint(s, c) for c in body_prim) - head_vars,
             key=lambda v: v.id,
         )
-        for combo in itertools.product(terms, repeat=len(free)):
-            theta = dict(zip(free, combo))
-            if all(ground_holds(subst_constraint(theta, c)) for c in rest):
-                yield subst_constraint(theta, head)
+        patterns = [(arg, vs) for arg in head.args if (vs := term_vars(arg))]
+        for sigma in match_head(patterns, 0, {}):
+            for combo in itertools.product(terms, repeat=len(free)):
+                theta = dict(sigma)
+                theta.update(zip(free, combo))
+                if all(ground_holds(subst_constraint(theta, c)) for c in rest):
+                    yield subst_constraint(theta, head)
+
+    def match_head(patterns, i: int, sigma: Subst):
+        # A head is kept only when its arguments lie in the universe, so
+        # each head argument with variables is matched against the universe
+        # terms; a value bound this way must lie in the universe too.
+        if i == len(patterns):
+            yield sigma
+            return
+        arg, arg_vars = patterns[i]
+        for t in terms:
+            s = match_term(arg, t, sigma)
+            if s is not None and all(s[v] in term_set for v in arg_vars if v not in sigma):
+                yield from match_head(patterns, i + 1, s)
 
     for plan in plans:
         yield from match_atoms(plan, 0, {})

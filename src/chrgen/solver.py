@@ -661,6 +661,19 @@ def _var_age(t: Term) -> tuple:
     return (0, t.id) if isinstance(t, Var) else (1,)
 
 
+def _orient(cs: Iterable[Constraint]) -> frozenset[Constraint]:
+    """The constraints with each equality and disequality oriented
+    older-variable-first, inserted in the order given."""
+    out = []
+    for c in cs:
+        if c.functor in ("eq", "neq"):
+            l, r = c.args
+            if sorted((_var_age(l), _var_age(r))) != [_var_age(l), _var_age(r)]:
+                c = Constraint(c.functor, (r, l))
+        out.append(c)
+    return frozenset(out)
+
+
 def simplify(s: Store) -> frozenset[Constraint]:
     """Equivalent, non-redundant constraint set: drop every constraint
     entailed by the remainder; orient equalities older-variable-first."""
@@ -672,14 +685,7 @@ def simplify(s: Store) -> frozenset[Constraint]:
         if base is not None and entails(base, c):
             continue
         kept.append(c)
-    out = []
-    for c in kept:
-        if c.functor in ("eq", "neq"):
-            l, r = c.args
-            if sorted((_var_age(l), _var_age(r))) != [_var_age(l), _var_age(r)]:
-                c = Constraint(c.functor, (r, l))
-        out.append(c)
-    return frozenset(out)
+    return _orient(kept)
 
 
 def project(s: Store, keep: Iterable[Var]) -> frozenset[Constraint]:
@@ -690,8 +696,14 @@ def project(s: Store, keep: Iterable[Var]) -> frozenset[Constraint]:
     named by its first kept member in name order. Every other kept variable
     is equated with its class's name or with the term its class is bound
     to; the disequalities and order edges follow, resolved the same way.
-    Only that residue is simplified. Variables outside ``keep`` remain only
-    where a kept one's term, or a disequality or order edge, needs them.
+    Variables outside ``keep`` remain only where a kept one's term, or a
+    disequality or order edge, needs them.
+
+    Without disequalities and order edges the residue is a solved form:
+    each of its equalities binds a kept variable that occurs nowhere else,
+    to a term over unbound variables. No constraint of it is entailed by the
+    others, so it is only oriented, as :func:`simplify` would. Otherwise the
+    residue is simplified.
     """
     names: dict[Var, Var] = {}
     bound = []
@@ -706,7 +718,10 @@ def project(s: Store, keep: Iterable[Var]) -> frozenset[Constraint]:
     for rel, pairs in (("neq", s.suspended_neqs), ("lt", s.strict), ("le", s.nonstrict)):
         for a, b in pairs:
             residue.add(Constraint(rel, (s.find(a, memo, names), s.find(b, memo, names))))
-    store = store_from(sorted(residue, key=constraint_key))
+    ordered = sorted(residue, key=constraint_key)
+    if not (s.suspended_neqs or s.strict or s.nonstrict):
+        return _orient(ordered)
+    store = store_from(ordered)
     if store is None:
         # A projection of a consistent store cannot be inconsistent; be
         # safe anyway.
@@ -719,32 +734,43 @@ def dnf_satisfiable(
     neg: list[frozenset[Constraint]],
     cap: int = 10_000,
 ) -> bool:
-    """Satisfiability of (OR pos) AND (AND_j NOT neg_j) by DNF expansion.
+    """Satisfiability of (OR pos) AND (AND_j NOT neg_j).
 
-    Each negated answer distributes ``negate`` over its constraints; a
-    conjunct is one positive answer plus one negated literal per negated
-    answer. Raises BlowupExceeded past ``cap`` conjuncts.
+    In DNF, a conjunct is one positive answer plus one negated literal per
+    negated answer; raises BlowupExceeded when there would be more than
+    ``cap`` conjuncts. The conjuncts are searched depth first, one trailed
+    store per positive answer, taking one literal of each negated answer in
+    turn; a branch is cut as soon as its store is inconsistent (Davis,
+    Logemann and Loveland, 1962). An empty negated answer is NOT(true), so
+    no conjunct is satisfiable then. Since the store's bindings,
+    disequalities and order edges only grow along a branch, a cut branch
+    has no conjunct the store would find consistent.
     """
     count = len(pos)
     for b in neg:
         count *= max(len(b), 1)
         if count > cap:
             raise BlowupExceeded(f"{count} conjuncts exceeds cap {cap}")
-    if not pos:
-        return False
-
-    def expand(j: int, acc: list[Constraint]) -> bool:
-        if j == len(neg):
-            return satisfiable(acc)
-        for c in neg[j]:
-            if expand(j + 1, acc + [negate(c)]):
-                return True
-        # An empty negated answer means NOT(true): whole formula unsat.
-        return bool(neg[j]) and False
-
+    negated = [[negate(c) for c in b] for b in neg]
     for a in pos:
-        if not satisfiable(a):
+        s = store_from(a)
+        if s is None:
             continue
-        if expand(0, list(a)):
+        if not negated:
             return True
+        s.begin_trail()
+        # One frame per negated answer entered: the mark to retry from and
+        # the literals not yet tried.
+        stack = [(s.mark(), iter(negated[0]))]
+        while stack:
+            mark, literals = stack[-1]
+            c = next(literals, None)
+            if c is None:
+                stack.pop()
+                continue
+            s.undo(mark)
+            if assert_all(s, (c,)):
+                if len(stack) == len(negated):
+                    return True
+                stack.append((s.mark(), iter(negated[len(stack)])))
     return False

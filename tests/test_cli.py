@@ -180,6 +180,19 @@ def test_deep_input_exits_with_limit_code(tmp_path, capsys):
     assert "limit exceeded:" in capsys.readouterr().err
 
 
+def test_dnf_cap_leaves_a_general_rule_unmined(capsys):
+    # Past --dnf-cap the answer-set comparison counts as not valid: the
+    # run still exits 0, without the symmetry rule.
+    argv = ["generate", str(DATA / "bool.clp"), str(DATA / "xor.spec"), "--mode", "general"]
+    symmetry = "xor(X,Y,Z) ==> xor(Y,X,Z)."
+    assert main(argv) == 0
+    assert symmetry in capsys.readouterr().out.splitlines()
+    assert main(argv + ["--dnf-cap", "1"]) == 0
+    captured = capsys.readouterr()
+    assert symmetry not in captured.out.splitlines()
+    assert "limit exceeded" not in captured.err
+
+
 def test_missing_file_exit_code(capsys):
     rc = main(["emit", "/nonexistent/rules.txt"])
     assert rc == 1

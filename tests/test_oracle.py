@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from chrgen import oracle
 from chrgen.miner import mine_primitive, mine_splitting
-from chrgen.program import parse_goal, parse_program, parse_spec
+from chrgen.program import format_constraint, parse_goal, parse_program, parse_spec
 from chrgen.rules import Rule, format_rule, parse_rules
 from chrgen.terms import (
     Const,
@@ -379,6 +379,26 @@ def test_success_set_body_equality_binds_outside_the_universe():
     facts = oracle.success_set(program, terms)
     assert facts == _brute_success_set(program, terms)
     assert {str(f) for f in facts} == {"q(a)", "q(b)", "p(a)", "p(b)"}
+
+
+def test_success_set_binds_head_variables_inside_list_cells():
+    # H and K occur only in the head, inside list cells; a body disequality
+    # reads H, and W occurs in no head argument, so it is enumerated.
+    program = parse_program(
+        "q(a).\nq(b).\n"
+        "p([H|T]) :- q(T).\n"
+        "r([H,Y], [K]) :- q(Y), H\\=Y.\n"
+        "s(X) :- q(X), W\\=X.\n"
+    )
+    terms = oracle.universe(["a", "b"], list_depth=2)
+    facts = oracle.success_set(program, terms)
+    assert facts == _brute_success_set(program, terms)
+    # [H|a] is no list of the universe, so p has no fact.
+    assert not [f for f in facts if f.functor == "p"]
+    assert {format_constraint(f) for f in facts if f.functor == "r"} == {
+        f"r([{h},{y}],[{k}])" for h, y in (("a", "b"), ("b", "a")) for k in "ab"
+    }
+    assert {format_constraint(f) for f in facts if f.functor == "s"} == {"s(a)", "s(b)"}
 
 
 def test_success_set_round_cap_cuts_the_same_facts():

@@ -7,12 +7,19 @@ exhaustive ground enumeration must agree; a ground witness forces the
 solver to report satisfiable.
 """
 
+import contextlib
+import io
 import itertools
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chrgen import miner, solver
+from chrgen.cli import main
 from chrgen.solver import (
+    BlowupExceeded,
     Store,
     assert_all,
     assert_constraint,
@@ -33,10 +40,13 @@ from chrgen.terms import (
     apply_match,
     atom,
     cons,
+    constraint_key,
     make_list,
     prim,
     NIL,
 )
+
+from conftest import DATA
 
 X, Y, Z, W = Var("X"), Var("Y"), Var("Z"), Var("W")
 a, b = Const("a"), Const("b")
@@ -322,6 +332,63 @@ def test_find_resolves_a_long_chain_without_recursion():
     assert s.find(vs[0]) == make_list([a] * n, vs[n])
 
 
+def _project_by_simplify(s, keep):
+    """Reference: the projection that builds a store from the whole residue
+    and simplifies it."""
+    names = {}
+    bound = []
+    for v in sorted(keep):
+        r = s.walk(v)
+        if isinstance(r, Var) and r not in names:
+            names[r] = v
+        else:
+            bound.append(v)
+    memo = {}
+    residue = {Constraint("eq", (v, s.find(v, memo, names))) for v in bound}
+    for rel, pairs in (("neq", s.suspended_neqs), ("lt", s.strict), ("le", s.nonstrict)):
+        for l, r in pairs:
+            residue.add(Constraint(rel, (s.find(l, memo, names), s.find(r, memo, names))))
+    store = store_from(sorted(residue, key=constraint_key))
+    if store is None:
+        return frozenset(residue)
+    return simplify(store)
+
+
+EQ_VARS = [Var(n) for n in "ABCDEF"]
+EQ_TERMS = st.recursive(
+    st.sampled_from(EQ_VARS + [a, b, NIL]),
+    lambda inner: st.builds(cons, inner, inner),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.builds(lambda l, r: prim("eq", l, r), EQ_TERMS, EQ_TERMS), max_size=5),
+    st.sets(st.sampled_from(EQ_VARS)),
+)
+def test_project_of_equalities_matches_the_simplified_residue(cs, keep):
+    s = store_from(cs)
+    if s is None:
+        return
+    expected = _project_by_simplify(s, keep)
+    # A store of equalities projects to a solved form, which is not
+    # simplified again; its constraints come in the same order.
+    with mock.patch.object(solver, "simplify", side_effect=AssertionError("simplified")):
+        got = project(s, keep)
+    assert got == expected
+    assert list(got) == list(expected)
+
+
+@pytest.mark.parametrize("extra", [prim("neq", Y, a), prim("le", Y, Z)])
+def test_project_simplifies_with_disequalities_or_order_edges(extra):
+    s = store_from([prim("eq", X, cons(Y, Z)), extra])
+    with mock.patch.object(solver, "simplify", wraps=solver.simplify) as spy:
+        got = project(s, {X, Y, Z})
+    assert spy.call_count == 1
+    assert got == _project_by_simplify(s, {X, Y, Z})
+
+
 # ---------------------------------------------------------------------------
 # DNF satisfiability  [DERIVED]
 # ---------------------------------------------------------------------------
@@ -377,10 +444,91 @@ def test_dnf_negated_true_is_unsat():
 
 
 def test_dnf_blowup_cap():
-    import pytest
-    from chrgen.solver import BlowupExceeded
-
     big = [frozenset({prim("eq", Var(f"V{i}"), c0), prim("eq", Var(f"W{i}"), c1)})
            for i in range(6)]
     with pytest.raises(BlowupExceeded):
         dnf_satisfiable([frozenset({prim("eq", X, c0)})], big, cap=10)
+
+
+def _dnf_by_expansion(pos, neg, cap=10_000):
+    """Reference: the full DNF expansion, one store built from scratch per
+    conjunct."""
+    count = len(pos)
+    for b in neg:
+        count *= max(len(b), 1)
+        if count > cap:
+            raise BlowupExceeded(f"{count} conjuncts exceeds cap {cap}")
+    if not pos:
+        return False
+
+    def expand(j, acc):
+        if j == len(neg):
+            return satisfiable(acc)
+        return any(expand(j + 1, acc + [negate(c)]) for c in neg[j])
+
+    return any(satisfiable(a) and expand(0, list(a)) for a in pos)
+
+
+def _same_dnf_verdict(pos, neg, cap=10_000):
+    """Both give the same verdict, or both raise BlowupExceeded."""
+    try:
+        expected = _dnf_by_expansion(pos, neg, cap)
+    except BlowupExceeded:
+        with pytest.raises(BlowupExceeded):
+            dnf_satisfiable(pos, neg, cap)
+        return
+    assert dnf_satisfiable(pos, neg, cap) == expected
+
+
+DNF_TERMS = st.recursive(
+    st.sampled_from([X, Y, Z, a, c0, c1, c2, NIL]),
+    lambda inner: st.builds(cons, inner, inner),
+    max_leaves=3,
+)
+DNF_CONSTRAINTS = st.builds(
+    lambda rel, l, r: prim(rel, l, r),
+    st.sampled_from(["eq", "neq", "le", "lt"]),
+    DNF_TERMS,
+    DNF_TERMS,
+)
+# An empty negated answer decides the test at once; the fixed tests above
+# cover it.
+DNF_ANSWERS = st.lists(st.frozensets(DNF_CONSTRAINTS, min_size=1, max_size=3), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DNF_ANSWERS, DNF_ANSWERS, st.sampled_from([8, 10_000]))
+def test_dnf_search_matches_full_expansion(pos, neg, cap):
+    _same_dnf_verdict(pos, neg, cap)
+
+
+def test_dnf_search_matches_full_expansion_on_mined_answer_sets():
+    # Every answer-set comparison that general mining of the bool specs
+    # makes, recorded from the command line.
+    calls = []
+
+    def record(pos, neg, cap=10_000):
+        calls.append((pos, neg, cap))
+        return dnf_satisfiable(pos, neg, cap)
+
+    with mock.patch.object(miner, "dnf_satisfiable", record):
+        for spec in ("and_min", "and_split", "bool_full", "min_split", "min_sym", "xor"):
+            argv = ["generate", str(DATA / "bool.clp"), str(DATA / f"{spec}.spec"),
+                    "--mode", "general"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+    assert len(calls) >= 90
+    for pos, neg, cap in calls:
+        _same_dnf_verdict(pos, neg, cap)
+
+
+def test_dnf_search_cuts_a_branch_once_it_is_inconsistent():
+    # X=0,Y=0,Z=0 against the eight rows of {0,1}^3, that row first: each
+    # negated literal of the first row contradicts the positive answer at
+    # once. The full expansion builds one store per conjunct, 3^8 of them.
+    rows = sorted(itertools.product((c0, c1), repeat=3), key=lambda row: row != (c0,) * 3)
+    neg = [frozenset(prim("eq", v, t) for v, t in zip((X, Y, Z), row)) for row in rows]
+    pos = neg[:1]
+    with mock.patch.object(solver, "assert_all", wraps=solver.assert_all) as spy:
+        assert not dnf_satisfiable(pos, neg)
+    assert spy.call_count == 4  # the positive answer, then one per literal
