@@ -53,7 +53,8 @@ class ChrRule:
     bodies: tuple[tuple[Constraint, ...], ...]
 
     # What the runtime needs of a rule on every step, worked out once per
-    # rule object.
+    # rule object. The runtime keeps the rule's compiled try function beside
+    # these, under ``try_rule``.
 
     @cached_property
     def keeps_heads(self) -> bool:

@@ -162,6 +162,11 @@ class Evaluation:
             self.trace(msg)
 
     def run(self, mode: str = "exists") -> Outcome:
+        """Evaluate the goal: stop at the first root answer in mode
+        ``exists``, else saturate the forest. An all-answers evaluation is
+        DEPTH_EXCEEDED once the depth bound or the answer cap is hit, so it
+        stops there: its trace ends with the step that logged its first
+        ``depth:`` or ``cap:`` line."""
         atoms = tuple(
             sorted((c for c in self.goal if not c.is_primitive), key=constraint_key)
         )
@@ -191,7 +196,7 @@ class Evaluation:
             if steps > 200_000:
                 self.cap_exceeded = True
                 break
-            if mode == "exists" and root.answers:
+            if self._settled(mode, root):
                 break
             while answer_work:
                 entry, ans = answer_work.popleft()
@@ -199,9 +204,9 @@ class Evaluation:
                     self._consume(consumer, ans, sigma, answer_work)
                 if entry.parent is not None:
                     self._lift(entry, ans, answer_work)
-                if mode == "exists" and root.answers:
+                if self._settled(mode, root):
                     break
-            if mode == "exists" and root.answers:
+            if self._settled(mode, root):
                 break
             if work:
                 entry = work.popleft()
@@ -216,6 +221,14 @@ class Evaluation:
         if self.depth_exceeded or self.cap_exceeded:
             return DEPTH_EXCEEDED
         return FAILS
+
+    def _settled(self, mode: str, root: _Entry) -> bool:
+        """Whether the outcome is fixed: in mode ``exists`` by a root
+        answer, else by the depth bound or the answer cap, since neither
+        flag is ever cleared."""
+        if mode == "exists":
+            return bool(root.answers)
+        return self.depth_exceeded or self.cap_exceeded
 
     # -- node processing --------------------------------------------------
 
@@ -568,6 +581,8 @@ def _classical(
             depth_exceeded = True
             if trace:
                 trace("classical: depth bound exceeded")
+            if mode != "exists":
+                break  # the verdict is DEPTH_EXCEEDED whatever follows
             continue
         # Reversed so the textually first clause is explored first.
         stack.extend(reversed(_unfold(program, shadow.mark(), seq, d)))

@@ -1,36 +1,41 @@
-"""Minimal CHR / CHR-or fixpoint interpreter for validating generated
-solvers on ground and partially-ground goals.
+"""Minimal CHR / CHR-or fixpoint runtime for validating generated solvers
+on ground and partially-ground goals.
 
 A state is taken up once: the rules are tried on it in order, one step per
-rule, and the first rule that fires replaces it by its successors. Head
-matching looks only at the active user constraints with the head's functor
-and arity, indexed once per state; the heads go to distinct constraints in
-increasing id order, their arguments are matched against the primitive
-store's representatives, and the guard must be entailed by the store. A
-propagation history keeps a propagation rule from refiring on the same
-constraint tuple. A rule with one body fires on the state itself; only the
-alternatives of a splitting rule copy it, one copy each. The run returns
-every consistent leaf.
+rule tried, and the first rule that fires replaces it by its successors. The
+heads go to distinct active user constraints in increasing id order, their
+arguments are matched against the primitive store's representatives, and
+the guard must be entailed by the store. A propagation history keeps a
+propagation rule from refiring on the same constraint tuple. A rule with one
+body fires on the state itself; only the alternatives of a splitting rule
+copy it, one copy each. The run returns every consistent leaf.
+
+Each rule is compiled, the first time it is tried, into one Python try
+function, which is kept on the rule object (a splitting rule also gets one
+function per alternative). It has one loop per head, nested in head order,
+over the active constraints with the head's functor and arity; each head
+pattern is unfolded into tests on the matched arguments, and the guard and
+the body constraints are built directly from them.
+
+The heads are matched against an index kept on the state: the active user
+constraints under their signatures, each with its arguments under the
+store. A firing keeps the index up to date: a simplification removes its
+heads from it, and an added user constraint is appended, its arguments
+needing no resolving, since they are built from indexed ones and fresh
+variables. A primitive going into the store makes the index stale, so it is
+rebuilt when the state is next taken up; a splitting copy starts without
+one.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass, field
+from itertools import count
+from typing import Callable, Iterable, Optional
 
 from .emit import ChrRule
 from .solver import Store, assert_all, entails, store_from
-from .terms import (
-    Const,
-    Constraint,
-    Subst,
-    Var,
-    constraint_key,
-    fresh_var,
-    match_subst_constraint,
-    match_term,
-)
+from .terms import Compound, Const, Constraint, Var, constraint_key, fresh_var, term_vars
 
 # (functor, arity) -> (id, arguments under the store) of each active user
 # constraint with that signature, in id order.
@@ -49,6 +54,8 @@ class State:
     store: Store
     history: set[tuple]  # (rule index, matched constraint ids)
     next_id: int
+    # None until built, and again once a primitive has gone into the store.
+    index: Optional[_Index] = field(default=None, repr=False, compare=False)
 
     def copy(self) -> "State":
         return State(dict(self.user), self.store.copy(), set(self.history), self.next_id)
@@ -74,96 +81,192 @@ def _index(state: State) -> _Index:
     return index
 
 
-def _match_args(pats: tuple, args: tuple, sigma: Subst) -> Optional[Subst]:
-    for pat, arg in zip(pats, args):
-        sigma = match_term(pat, arg, sigma)
-        if sigma is None:
-            return None
-    return sigma
+def _compile(rule: ChrRule) -> Callable[[State, int], Optional[list[State]]]:
+    """The rule's try function, compiled once and kept on the rule object.
 
+    Called with a state whose index is up to date and the rule's position in
+    the rule list, it fires the rule on the first match and returns the
+    successor states, or None when nothing matched. A pattern is checked
+    against its constraint's argument by the tests ``match_term`` makes:
+    functor and arity of a compound, and equality, in the same operand
+    order, for a constant, a ground subterm or a repeated variable. Functors
+    enter the source only through ``repr``; constants, ground subterms and
+    variables no head binds only through the ``shared`` tuple.
+    """
+    shared: list = []
+    names = (f"t{i}" for i in count())
+    bound: dict[Var, str] = {}  # head variable -> local holding its match
+    lines: list[str] = []
 
-def _match_heads(rule: ChrRule, index: _Index) -> Iterator[tuple[tuple[int, ...], Subst]]:
-    """All (constraint ids, matcher) pairs assigning the rule heads to
-    distinct active user constraints, modulo store equalities, in the
-    lexicographic order of the ids."""
-    if len(rule.heads) == 1:
-        pats = rule.heads[0].args
-        for cid, args in index.get(rule.signature[0], ()):
-            sigma = _match_args(pats, args, {})
-            if sigma is not None:
-                yield (cid,), sigma
-        return
-    pools = [index.get(sig, ()) for sig in rule.signature]
-    for combo in itertools.product(*pools):
-        ids = tuple(cid for cid, _ in combo)
-        if len(set(ids)) < len(ids):
-            continue
-        sigma: Optional[Subst] = {}
-        for head, (_, args) in zip(rule.heads, combo):
-            sigma = _match_args(head.args, args, sigma)
-            if sigma is None:
-                break
-        if sigma is not None:
-            yield ids, sigma
+    def emit(depth: int, line: str) -> None:
+        lines.append("    " * depth + line)
 
+    def share(t) -> str:
+        shared.append(t)
+        return f"shared[{len(shared) - 1}]"
 
-def _apply_body(
-    rule: ChrRule,
-    idx: int,
-    ids: tuple[int, ...],
-    sigma: Subst,
-    body: tuple[Constraint, ...],
-    local_vars: tuple[Var, ...],
-    state: State,
-) -> bool:
-    """Fire one body of a matched rule on ``state`` itself; False when a
-    body primitive is inconsistent with the store."""
-    if rule.kind == "simplification":
-        for cid in ids:
-            del state.user[cid]
+    def match(pat, target: str, depth: int) -> None:
+        # Depth first, left to right, as match_term walks the pattern.
+        stack = [(pat, target)]
+        while stack:
+            pat, target = stack.pop()
+            if pat.__class__ is Var and pat not in bound:
+                bound[pat] = target
+            elif pat.__class__ is Var:
+                emit(depth, f"if {bound[pat]} != {target}: continue")
+            elif pat.__class__ is Compound and term_vars(pat):
+                emit(
+                    depth,
+                    f"if {target}.__class__ is not Compound or {target}.functor != "
+                    f"{pat.functor!r} or len({target}.args) != {len(pat.args)}: continue",
+                )
+                subs = [next(names) for _ in pat.args]
+                emit(depth, f"{', '.join(subs)}, = {target}.args")
+                stack.extend(reversed(list(zip(pat.args, subs))))
+            else:
+                emit(depth, f"if {share(pat)} != {target}: continue")
+
+    def build(args: tuple, slots: dict[Var, str], depth: int) -> str:
+        """Source of the tuple of the terms ``args`` under ``slots``. Each
+        compound with variables is built into a local of its own first,
+        innermost first, so that no expression nests deeply."""
+        built: dict[int, str] = {}
+
+        def term(t) -> str:
+            if t.__class__ is Var and t in slots:
+                return slots[t]
+            return built.get(id(t)) or share(t)
+
+        stack = [t for t in args if t.__class__ is Compound and term_vars(t)]
+        while stack:
+            t = stack[-1]
+            inner = [
+                a
+                for a in t.args
+                if a.__class__ is Compound and id(a) not in built and term_vars(a)
+            ]
+            if inner:
+                stack.extend(inner)
+                continue
+            stack.pop()
+            if id(t) not in built:
+                built[id(t)] = name = next(names)
+                emit(depth, f"{name} = Compound({t.functor!r}, {_tuple_of(map(term, t.args))})")
+        return _tuple_of(map(term, args))
+
+    def fire(body: tuple, local_vars: tuple, depth: int, fail: str, indexed: bool) -> None:
+        """Fresh variables for the locals, then each body constraint in
+        order; ``fail`` leaves on an inconsistent primitive. With
+        ``indexed``, the state's index is kept up to date."""
+        slots = dict(bound)
+        for v in local_vars:
+            slots[v] = name = next(names)
+            emit(depth, f"{name} = fresh_var('_R')")
+        if not all(c.is_primitive for c in body):
+            emit(depth, "user = state.user")
+        for c in body:
+            args = build(c.args, slots, depth)
+            if c.is_primitive:
+                if indexed:
+                    emit(depth, "state.index = None")
+                    indexed = False
+                c_src = f"Constraint({c.functor!r}, {args})"
+                emit(depth, f"if not assert_all(state.store, ({c_src},)):")
+                emit(depth + 1, fail)
+                continue
+            emit(depth, f"args = {args}")
+            emit(depth, f"c = Constraint({c.functor!r}, args)")
+            emit(depth, "if c not in user.values():")
+            emit(depth + 1, "user[state.next_id] = c")
+            if indexed:
+                sig = (c.functor, len(c.args))
+                emit(depth + 1, f"index.setdefault({sig!r}, []).append((state.next_id, args))")
+            emit(depth + 1, "state.next_id += 1")
+
+    alternatives = rule.alternatives
+    split = len(alternatives) > 1
+    lines.append("def try_rule(state, idx):")
+    emit(1, "index = state.index")
+    depth = 1
+    for j, (head, sig) in enumerate(zip(rule.heads, rule.signature)):
+        emit(depth, f"for id{j}, args{j} in index.get({sig!r}, ()):")
+        depth += 1
+        same = [f"id{i}" for i in range(j) if rule.signature[i] == sig]
+        if same:
+            emit(depth, f"if id{j} in {_tuple_of(same)}: continue")
+        subs = [next(names) for _ in head.args]
+        if subs:
+            emit(depth, f"{', '.join(subs)}, = args{j}")
+        for pat, target in zip(head.args, subs):
+            match(pat, target, depth)
+    ids = _tuple_of(f"id{j}" for j in range(len(rule.heads)))
+    matches = "".join(f"{name}, " for name in bound.values())
+    if rule.keeps_heads:
+        emit(depth, f"if (idx, {ids}) in state.history: continue")
+    for g in rule.guard:
+        args = build(g.args, bound, depth)
+        emit(depth, f"if not entails(state.store, Constraint({g.functor!r}, {args})): continue")
+    if rule.kind == "failure":
+        emit(depth, "return []")  # matched lhs with guard entailed: inconsistent leaf
+    elif not split:
+        # The one body fires on the state itself, which run drops or takes up
+        # again as the successor.
+        if rule.kind == "simplification":
+            for j, sig in enumerate(rule.signature):
+                emit(depth, f"del state.user[id{j}]")
+                emit(depth, f"index[{sig!r}].remove((id{j}, args{j}))")
+        else:
+            emit(depth, f"state.history.add((idx, {ids}))")
+        fire(*alternatives[0], depth, "return []", indexed=True)
+        emit(depth, "return [state]")
     else:
-        state.history.add((idx, ids))
-    if local_vars:
-        sigma = sigma | {v: fresh_var("_R") for v in local_vars}
-    user, store = state.user, state.store
-    for c in body:
-        inst = match_subst_constraint(sigma, c)
-        if inst.is_primitive:
-            if not assert_all(store, (inst,)):
-                return False
-        elif inst not in user.values():
-            user[state.next_id] = inst
-            state.next_id += 1
-    return True
+        # Each alternative fires on a copy, in a function of its own that
+        # takes the head matches.
+        alts = _tuple_of(f"alternative{k}" for k in range(len(alternatives)))
+        simplification = rule.kind == "simplification"
+        emit(depth, f"return _split(state, (idx, {ids}), {alts}, ({matches}), {simplification})")
+    emit(1, "return None")
+    for k, (body, local_vars) in enumerate(alternatives if split else ()):
+        lines.append(f"def alternative{k}(state, {matches}):")
+        fire(body, local_vars, 1, "return False", indexed=False)
+        emit(1, "return True")
+    namespace = {
+        "Compound": Compound,
+        "Constraint": Constraint,
+        "_split": _split,
+        "assert_all": assert_all,
+        "entails": entails,
+        "fresh_var": fresh_var,
+        "shared": tuple(shared),
+    }
+    exec("\n".join(lines) + "\n", namespace)
+    try_rule = rule.__dict__["try_rule"] = namespace["try_rule"]
+    return try_rule
 
 
-def _fire(rule: ChrRule, idx: int, state: State, index: _Index) -> Optional[list[State]]:
-    """Try to fire one rule once; None when nothing matched. A single body
-    fires on ``state`` itself, which the caller then drops or takes up
-    again as the successor."""
-    for ids, sigma in _match_heads(rule, index):
-        if rule.keeps_heads and (idx, ids) in state.history:
-            continue
-        if not all(
-            entails(state.store, match_subst_constraint(sigma, g)) for g in rule.guard
-        ):
-            continue
-        if rule.kind == "failure":
-            return []  # matched lhs with guard entailed: inconsistent leaf
-        alternatives = rule.alternatives
-        if len(alternatives) == 1:
-            body, local_vars = alternatives[0]
-            return [state] if _apply_body(rule, idx, ids, sigma, body, local_vars, state) else []
-        branches: list[State] = []
-        for body, local_vars in alternatives:
-            branch = state.copy()
-            if _apply_body(rule, idx, ids, sigma, body, local_vars, branch):
-                # The copied-from store served the occurs check while the
-                # body went in, as in solver.assert_many.
-                branch.store.base = None
-                branches.append(branch)
-        return branches
-    return None
+def _split(
+    state: State, key: tuple, alternatives: tuple, matches: tuple, simplification: bool
+) -> list[State]:
+    """Fire each alternative of a splitting rule on a copy of the state;
+    the consistent copies, in order. ``key`` is (rule index, head ids)."""
+    branches = []
+    for alternative in alternatives:
+        branch = state.copy()
+        if simplification:
+            for cid in key[1]:
+                del branch.user[cid]
+        else:
+            branch.history.add(key)
+        if alternative(branch, *matches):
+            # The copied-from store served the occurs check while the body
+            # went in, as in solver.assert_many.
+            branch.store.base = None
+            branches.append(branch)
+    return branches
+
+
+def _tuple_of(items: Iterable[str]) -> str:
+    return "(" + "".join(f"{s}, " for s in items) + ")"
 
 
 def run(
@@ -176,18 +279,18 @@ def run(
     if store is None:
         return []
     users = {i: c for i, c in enumerate(c for c in goal if not c.is_primitive)}
-    initial = State(users, store, set(), len(users))
     leaves: list[State] = []
-    pending = [initial]
+    pending = [State(users, store, set(), len(users))]
     steps = 0
     while pending:
         state = pending.pop()
-        index = _index(state)
+        if state.index is None:
+            state.index = _index(state)
         for idx, rule in enumerate(chr_rules):
             steps += 1
             if steps > step_limit:
                 raise StepLimitExceeded(f"exceeded {step_limit} rule-match steps")
-            branches = _fire(rule, idx, state, index)
+            branches = (rule.__dict__.get("try_rule") or _compile(rule))(state, idx)
             if branches is not None:
                 pending.extend(branches)
                 break

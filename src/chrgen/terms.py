@@ -300,12 +300,29 @@ def apply_subst(s: Mapping[Var, Term], t: Term) -> Term:
 def apply_match(s: Mapping[Var, Term], t: Term) -> Term:
     """Apply a matching substitution: pattern variables are replaced by
     their bindings verbatim, with no substitution inside the replacement.
-    Pattern and target may share variable names."""
-    if isinstance(t, Var):
+    Pattern and target may share variable names. Subterms that s leaves
+    unchanged are returned as they are. Iterative, like :func:`apply_subst`."""
+    if t.__class__ is Var:
         return s.get(t, t)
-    if isinstance(t, Compound):
-        return Compound(t.functor, tuple(apply_match(s, a) for a in t.args))
-    return t
+    if t.__class__ is not Compound:
+        return t
+    stack = [(t, iter(t.args), [])]
+    while True:
+        term, rest, args = stack[-1]
+        for a in rest:
+            if a.__class__ is Var:
+                a = s.get(a, a)
+            elif a.__class__ is Compound:
+                stack.append((a, iter(a.args), []))
+                break
+            args.append(a)
+        else:
+            stack.pop()
+            if any(new is not old for new, old in zip(args, term.args)):
+                term = Compound(term.functor, tuple(args))
+            if not stack:
+                return term
+            stack[-1][2].append(term)
 
 
 def match_subst_constraint(s: Mapping[Var, Term], c: "Constraint") -> "Constraint":
@@ -491,24 +508,51 @@ def match_term(pat: Term, t: Term, s: Subst) -> Optional[Subst]:
     Bindings map pattern variables to target terms; target terms are never
     substituted, so shared variable names across the two sides are harmless.
     A pattern variable that is already bound must match its binding verbatim.
+    s itself is returned when nothing new is bound, and is never changed.
+    Iterative, depth first and left to right, so that a long list spine stays
+    within the recursion limit: the stack holds an iterator over the argument
+    pairs of each compound being matched.
     """
-    if isinstance(pat, Var):
+    cls = pat.__class__
+    if cls is Var:
         bound = s.get(pat)
-        if bound is not None:
-            return s if bound == t else None
-        out = dict(s)
-        out[pat] = t
-        return out
-    if isinstance(pat, Const):
+        if bound is None:
+            out = dict(s)
+            out[pat] = t
+            return out
+        return s if bound == t else None
+    if cls is Const:
         return s if pat == t else None
-    if isinstance(t, Compound) and pat.functor == t.functor and len(pat.args) == len(t.args):
-        for pa, ta in zip(pat.args, t.args):
-            s2 = match_term(pa, ta, s)
-            if s2 is None:
+    if t.__class__ is not Compound or pat.functor != t.functor or len(pat.args) != len(t.args):
+        return None
+    extended = False
+    stack = [zip(pat.args, t.args)]
+    while stack:
+        for pat, t in stack[-1]:
+            cls = pat.__class__
+            if cls is Var:
+                bound = s.get(pat)
+                if bound is None:
+                    if not extended:
+                        s, extended = dict(s), True
+                    s[pat] = t
+                elif not bound == t:
+                    return None
+            elif cls is Const:
+                if not pat == t:
+                    return None
+            elif (
+                t.__class__ is Compound
+                and pat.functor == t.functor
+                and len(pat.args) == len(t.args)
+            ):
+                stack.append(zip(pat.args, t.args))
+                break
+            else:
                 return None
-            s = s2
-        return s
-    return None
+        else:
+            stack.pop()
+    return s
 
 
 def match_into(

@@ -171,13 +171,29 @@ def test_program_with_external_directive_is_rejected(tmp_path, capsys):
     assert "==>" not in captured.out
 
 
-def test_deep_input_exits_with_limit_code(tmp_path, capsys):
+def test_deep_input_ends_as_depth_exceeded(tmp_path, capsys):
+    # Every term walk on the way is iterative, so a 1200-element list no
+    # longer hits Python's recursion limit: its goals run into the depth
+    # bound instead, and are reported as such.
     spec = tmp_path / "deep.spec"
     items = ",".join(["a"] * 1200)
     spec.write_text(f"base: append(X,Y,Z)\ncand_lhs: X=[{items}], Y=[]\ncand_rhs: cand_lhs\n")
     rc = main(["generate", str(DATA / "append.clp"), str(spec)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "depth_exceeded verdicts: 2" in captured.err
+    assert "limit exceeded" not in captured.err
+
+
+def test_step_limit_exits_with_limit_code(tmp_path, capsys):
+    rules = tmp_path / "swap.rules"
+    rules.write_text("min(X,Y,Z) <=> min(Y,X,Z).\n")
+    goals = tmp_path / "swap.goals"
+    goals.write_text("min(A,B,C)\n")
+    rc = main(["validate", str(rules), "--program", str(DATA / "min.clp"),
+               "--constants", "0,1", "--goals", str(goals), "--step-limit", "100"])
     assert rc == 2
-    assert "limit exceeded:" in capsys.readouterr().err
+    assert "limit exceeded: exceeded 100 rule-match steps" in capsys.readouterr().err
 
 
 def test_dnf_cap_leaves_a_general_rule_unmined(capsys):

@@ -142,6 +142,29 @@ def test_answer_cap_is_traced(append_program):
     assert sum(line.startswith("answer:") for line in lines) == 8
 
 
+def test_all_answers_stop_once_the_bound_or_the_cap_is_hit(append_program):
+    # Neither flag is ever cleared, so the verdict is DEPTH_EXCEEDED from
+    # the first depth: or cap: event on, and the evaluation makes no entry
+    # after it.
+    events = []
+    goal = parse_goal("append(X,Y,Z), append(Y,X,W)")
+    ev = Evaluation(append_program, goal, depth=12, answer_cap=40)
+
+    def trace(line):
+        if line.startswith(("depth:", "cap:")):
+            events.append(ev.n_entries)
+
+    ev.trace = trace
+    assert isinstance(ev.run("all_answers"), DepthExceeded)
+    assert events == [ev.n_entries]
+    # The classical scheme stops at its first depth event the same way.
+    lines = []
+    out = evaluate(append_program, goal, depth=8, mode="all_answers", tabling=False,
+                   trace=lines.append)
+    assert isinstance(out, DepthExceeded)
+    assert lines.count("classical: depth bound exceeded") == 1
+    assert lines[-1] == "classical: depth bound exceeded"
+
 def test_deep_answers_reach_the_answer_cap(append_program):
     # Each answer is one list element longer than the last; the 350th
     # binds X to 349 elements, which must hash and compare without running

@@ -394,6 +394,35 @@ def test_deep_terms_unify_and_collect_variables_without_recursion():
     assert unify(f(open_list, Y), f(Z, open_list)) is None  # occurs check
 
 
+
+def test_deep_lists_match_without_recursion():
+    n = 3000
+    cells = [Var(f"X{i}") for i in range(n)]
+    pattern = make_list(cells, Y)
+    target = make_list([f(a, Z)] * n, make_list([b] * n))
+    s = match_term(pattern, target, {W: a})
+    assert s == {W: a, **{v: f(a, Z) for v in cells}, Y: make_list([b] * n)}
+    # A variable repeated at both ends of the spine must match itself.
+    assert match_term(make_list([X] * n, X), make_list([a] * n, a), {}) == {X: a}
+    assert match_term(make_list([X] * n, X), make_list([a] * n, b), {}) is None
+    assert match_term(pattern, make_list([a] * (n - 1)), {}) is None
+    base = {X: a}
+    assert match_term(make_list([a] * n), make_list([a] * n), base) is base
+
+
+def test_deep_lists_apply_a_match_without_recursion():
+    n = 3000
+    cells = [Var(f"X{i}") for i in range(n)]
+    s = {v: f(Y, a) for v in cells}
+    s[Y] = b  # the replacement is taken verbatim, not substituted into
+    out = apply_match(s, f(make_list(cells, Y), Z))
+    assert out == f(make_list([f(Y, a)] * n, b), Z)
+    # What the matcher leaves unchanged is shared, not rebuilt.
+    ground = make_list([a] * n)
+    out = apply_match(s, f(ground, cells[0]))
+    assert out == f(ground, f(Y, a)) and out.args[0] is ground
+
+
 def _list_tail(key, n):
     """The tail key of an n-cell list of a's, walked down its spine;
     comparing deep keys whole would recurse."""
