@@ -124,16 +124,15 @@ def cmd_validate(args) -> int:
             violations += 1
             print(f"VIOLATION: {cex}")
     if args.goals:
-        chr_rules = [
-            emit_mod.encode_rule(r) for r in rs.rules
-        ]
-        chr_rules = [r for r in chr_rules if r is not None]
+        encoded = emit_mod.emit(rs)
+        for note in encoded.dropped:
+            print(note, file=sys.stderr)
         for raw in Path(args.goals).read_text().splitlines():
             line = raw.split("%", 1)[0].strip()
             if not line:
                 continue
             goal = parse_goal(line)
-            leaves = runtime.run(chr_rules, goal, step_limit=args.step_limit)
+            leaves = runtime.run(encoded.chr_rules, goal, step_limit=args.step_limit)
             print(f"goal {line!r}: {len(leaves)} consistent final store(s)")
             for leaf in leaves:
                 parts = sorted(

@@ -15,8 +15,10 @@ recorded only where it can be used: at the nearest ancestor-or-self of the
 leaf or consumer that is a registered producer (only producers can ever
 have consumers), or else at the root. It is projected once, onto that
 entry's variables, by :func:`solver.project`, which reads the branch
-store's union-find. A producer's answer is lifted to the next such entry up
-in the same way.
+store's union-find and names the other variables it keeps canonically, so
+an answer is its own key. A producer's answer is lifted to the next such
+entry up in the same way; a solved form is read back as the bindings it
+states, without a store built from it.
 
 The classical evaluator keeps the resolvent as an ordered literal sequence
 with left-to-right selection: leading primitive constraints are moved into
@@ -50,8 +52,6 @@ from .terms import (
     match_subst_constraint,
     match_subst_constraints,
     renaming_for,
-    subst_constraint,
-    subst_constraints,
     term_vars,
 )
 
@@ -94,10 +94,8 @@ class _Entry:
     # A call can only subsume others if the matcher, which binds atom
     # variables alone, can cover all of its store variables.
     subsumable: bool = field(init=False, default=False)
-    # Most entries never get answers or consumers; these become a list, a
-    # set and a list on first use.
-    answers: list[Answer] = ()
-    answer_keys: set = frozenset()
+    # Most entries get no answers or consumers: an ordered set, a list on first use.
+    answers: dict[Answer, None] = ()
     # (consumer entry, sigma mapping producer vars to consumer terms)
     consumers: list[tuple["_Entry", Subst]] = ()
     parent: Optional["_Entry"] = None
@@ -212,15 +210,11 @@ class Evaluation:
                 entry = work.popleft()
                 self._expand(entry, work, answer_work)
 
-        if root.answers:
-            if mode == "exists":
-                return Answers((root.answers[0],))
-            if self.depth_exceeded or self.cap_exceeded:
-                return DEPTH_EXCEEDED
-            return Answers(tuple(sorted(root.answers, key=_answer_key)))
+        if root.answers and mode == "exists":
+            return Answers((next(iter(root.answers)),))
         if self.depth_exceeded or self.cap_exceeded:
             return DEPTH_EXCEEDED
-        return FAILS
+        return Answers(tuple(sorted(root.answers, key=_answer_key))) if root.answers else FAILS
 
     def _settled(self, mode: str, root: _Entry) -> bool:
         """Whether the outcome is fixed: in mode ``exists`` by a root
@@ -364,10 +358,10 @@ class Evaluation:
 
     def _add_answer(self, entry: _Entry, store: Store, answer_work: deque) -> None:
         """Record the store, projected onto the entry's variables, as an
-        answer of the entry unless it has one of the same form already."""
-        ans = _project_store(store, entry.variables)
-        key = _answer_canonical(ans, entry.variables)
-        if key in entry.answer_keys:
+        answer of the entry unless it has that answer already; the
+        projection is canonical, so it is its own key."""
+        ans = solver.project(store, entry.variables)
+        if ans in entry.answers:
             return
         if len(entry.answers) >= self.answer_cap:
             if self.trace:
@@ -375,23 +369,23 @@ class Evaluation:
             self.cap_exceeded = True
             return
         if not entry.answers:
-            entry.answers, entry.answer_keys = [], set()
-        entry.answer_keys.add(key)
-        entry.answers.append(ans)
+            entry.answers = {}
+        entry.answers[ans] = None
         if self.trace:
             self._log(f"answer: entry {entry.idx}: {format_constraints(ans)}")
         answer_work.append((entry, ans))
 
     def _lift(self, entry: _Entry, ans: Answer, answer_work: deque):
         # A producer's answer is an answer of the next entry up that records
-        # answers, once projected onto that entry's variables.
-        store = store_from(sorted(ans, key=constraint_key))
+        # answers, projected onto its variables; a solved form from its bindings.
+        solved = all(c.functor == "eq" for c in ans)
+        store = solver.solved_store(ans) if solved else store_from(sorted(ans, key=constraint_key))
         self._add_answer(entry.parent.target, store, answer_work)
 
     def _consume(self, consumer: _Entry, ans: Answer, sigma: Subst, answer_work: deque):
-        # The answer's locals get fresh names; its call variables map onto
-        # the consumer's terms.
-        local_ren = renaming_for(constraints_vars(ans) - set(sigma), prefix="_L")
+        # The answer's call variables map onto the consumer's terms, and only
+        # its locals, the variables sigma leaves alone, get fresh names.
+        local_ren = renaming_for(constraints_vars(ans).difference(sigma), prefix="_L")
         mapped = match_subst_constraints({**local_ren, **sigma}, ans)
         store = assert_many(consumer.store, sorted(mapped, key=constraint_key))
         if store is None:
@@ -399,28 +393,8 @@ class Evaluation:
         self._add_answer(consumer.target, store, answer_work)
 
 
-def _project_store(store: Store, variables: frozenset[Var]) -> Answer:
-    """Answer constraint set of a store, restricted to the given variables
-    where possible; remaining locals are renamed for readability."""
-    projected = solver.project(store, variables)
-    locals_ = constraints_vars(projected) - variables
-    ren = renaming_for(locals_, prefix="_L")
-    return subst_constraints(ren, projected)
-
-
 def _answer_key(a: Answer) -> tuple:
     return tuple(sorted(constraint_key(c) for c in a))
-
-
-def _answer_canonical(a: Answer, keep: frozenset[Var]) -> tuple:
-    # Canonicalize local variables while keeping the call variables fixed.
-    mapping: Subst = {}
-    ordered = sorted(a, key=constraint_key)
-    for c in ordered:
-        for v in sorted(constraints_vars([c]), key=lambda v: v.id):
-            if v not in keep and v not in mapping:
-                mapping[v] = Var(f"_C{len(mapping) + 1}")
-    return tuple(sorted(constraint_key(subst_constraint(mapping, c)) for c in ordered))
 
 
 @lru_cache(maxsize=None)
@@ -518,8 +492,7 @@ def _classical(
         # No leaf can be consistent; only the tree shape remains to decide.
         finite = _classical_finite(program, Store(), atoms, depth, trace)
         return FAILS if finite else DEPTH_EXCEEDED
-    answers: list[Answer] = []
-    answer_keys: set = set()
+    answers: dict[Answer, None] = {}
     depth_exceeded = False
     # Only the shadow store rides along; the classical store of a branch is
     # its constraint list minus the goal primitives seeded at the root, so
@@ -563,12 +536,10 @@ def _classical(
         if not seq:
             # The shadow store holds the leaf constraints plus the goal's
             # trailing primitives, exactly what the leaf would assert.
-            ans = _project_store(shadow, variables)
-            key = _answer_canonical(ans, variables)
-            if key in answer_keys:
+            ans = solver.project(shadow, variables)
+            if ans in answers:
                 continue
-            answer_keys.add(key)
-            answers.append(ans)
+            answers[ans] = None
             if trace:
                 trace(f"classical answer: {format_constraints(ans)}")
             if mode == "exists":
@@ -664,8 +635,16 @@ def evaluate(
     DEPTH_EXCEEDED; mode="all_answers" returns the saturated answer set or
     DEPTH_EXCEEDED when the bound or the answer cap was hit. With
     ``tabling=False`` the classical ordered depth-first scheme is used
-    instead of the tabled forest.
+    instead of the tabled forest. Each answer's locals come back under fresh
+    names, since answers of different goals meet when compared.
     """
     if not tabling:
-        return _classical(program, goal, depth, mode, answer_cap, trace)
-    return Evaluation(program, goal, depth, answer_cap, trace).run(mode)
+        out = _classical(program, goal, depth, mode, answer_cap, trace)
+    else:
+        out = Evaluation(program, goal, depth, answer_cap, trace).run(mode)
+    if not isinstance(out, Answers):
+        return out
+    goal_vars = constraints_vars(goal)
+    renamings = [{v: fresh_var("_L") for v in sorted(constraints_vars(a) - goal_vars)}
+                 for a in out.answers]
+    return Answers(tuple(map(match_subst_constraints, renamings, out.answers)))

@@ -10,8 +10,11 @@ generation, it cannot let an invalid rule through.
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Mapping, Optional
+from operator import is_not
+from typing import AbstractSet, Container, Iterable, Mapping, Optional
 
 from .terms import (
     NEGATION,
@@ -56,8 +59,6 @@ _WALK_BUDGET = 32
 _LOG_SEARCH = 64
 _CACHE_SLOTS = 4
 
-
-_NO_NAMES: Mapping = {}
 
 # Trail entries come in pairs: a variable, then what to undo for it.
 _UNBOUND = object()  # the variable was bound
@@ -245,78 +246,83 @@ class Store:
         return free
 
     def find(
-        self, t: Term, memo: Optional[dict] = None, names: Mapping[Var, Term] = _NO_NAMES
+        self, t: Term, memo: Optional[dict] = None, names: Optional[Mapping[Var, Var]] = None
     ) -> Term:
         """t with every variable resolved under the bindings, down to the
-        unbound representatives, each of which ``names`` may replace.
+        unbound representatives, each ``r`` of which becomes ``names[r]`` if
+        ``names`` is given, asked for in left-to-right order.
 
         Iterative, so that a long list spine stays within Python's recursion
         limit. ``memo`` caches resolved compounds by identity across calls
         that pass the same ``names``; subterms that do not change are shared.
         """
-        w = self.walk(t)
-        if w.__class__ is Var:
-            return names.get(w, w)
-        if w.__class__ is not Compound:
-            return w
-        if memo is None:
-            memo = {}
-        stack = [w]
-        while stack:
-            u = stack[-1]
-            if id(u) in memo:
-                stack.pop()
-                continue
-            pending = []
-            args = []
-            for a in u.args:
-                r = self.walk(a)
-                if r.__class__ is Var:
-                    r = names.get(r, r)
-                elif r.__class__ is Compound:
-                    hit = memo.get(id(r))
+        parent = self.parent
+        memo = {} if memo is None else memo
+        # Each frame: a compound, an iterator over its arguments and the
+        # arguments resolved so far. The first frame holds t alone.
+        stack: list = [(None, iter((t,)), [])]
+        while True:
+            u, rest, args = stack[-1]
+            for a in rest:
+                if a.__class__ is Var:
+                    while a in parent:
+                        a = parent[a]
+                        if a.__class__ is not Var:
+                            break
+                    else:  # an unbound representative
+                        a = a if names is None else names[a]
+                if a.__class__ is Compound:
+                    hit = memo.get(id(a))
                     if hit is None:
-                        pending.append(r)
-                        continue
-                    r = hit[1]
-                args.append(r)
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            same = all(new is old for new, old in zip(args, u.args))
-            # The compound is kept with its entry, so that its id is not
-            # reused while the memo lives.
-            memo[id(u)] = (u, u if same else Compound(u.functor, tuple(args)))
-        return memo[id(w)][1]
+                        stack.append((a, iter(a.args), []))
+                        break
+                    a = hit[1]
+                args.append(a)
+            else:
+                stack.pop()
+                if u is None:
+                    return args[0]
+                r = u
+                if any(map(is_not, args, u.args)):
+                    r = Compound(u.functor, tuple(args))
+                    # Answers are hashed: hash it now, as Compound.__hash__
+                    # would, from the hashes its new arguments hold.
+                    object.__setattr__(r, "_hash", hash((r.functor, r.args)))
+                # The compound is kept with its entry, so that its id is not
+                # reused while the memo lives.
+                memo[id(u)] = (u, r)
+                stack[-1][2].append(r)
 
     def _union(self, a: Term, b: Term, safe: Container[Var] = ()) -> bool:
         """Merge the classes of a and b; False on clash/occurs failure.
 
-        ``safe`` holds variables that provably cannot occur inside the other
-        side (linear in the constraint being asserted, unseen before it), so
-        the occurs check may be skipped for them.
+        ``safe`` holds variables linear in the constraint and unseen before
+        it: where one stands in the constraint itself, not where a binding
+        reaches it, it cannot occur inside the other side, so is not checked.
         """
         parent = self.parent
         compress = self.trail is None
         stack: list = []
+        a_own = b_own = True  # each side is a part of the constraint itself
         while True:
             if a in parent:
                 a = _walk(parent, a, compress)
+                a_own = False
             if b in parent:
                 b = _walk(parent, b, compress)
+                b_own = False
             # A variable never occurs in another variable: the occurs check
             # is only walked for a compound.
             if isinstance(a, Var):
                 if isinstance(b, Var):
                     if a != b:
                         self._bind(a, b)
-                elif a not in safe and isinstance(b, Compound) and self._occurs(a, b):
+                elif not (a_own and a in safe) and isinstance(b, Compound) and self._occurs(a, b):
                     return False
                 else:
                     self._bind(a, b)
             elif isinstance(b, Var):
-                if b not in safe and isinstance(a, Compound) and self._occurs(b, a):
+                if not (b_own and b in safe) and isinstance(a, Compound) and self._occurs(b, a):
                     return False
                 self._bind(b, a)
             elif isinstance(a, Compound) and isinstance(b, Compound):
@@ -324,12 +330,13 @@ class Store:
                     if a.functor != b.functor or len(a.args) != len(b.args):
                         return False
                     # Reversed, so argument pairs are unified left to right.
-                    stack.extend(reversed(tuple(zip(a.args, b.args))))
+                    own = itertools.repeat(a_own), itertools.repeat(b_own)
+                    stack.extend(reversed(tuple(zip(a.args, b.args, *own))))
             elif a != b:
                 return False  # distinct constants, or constant vs compound
             if not stack:
                 return True
-            a, b = stack.pop()
+            a, b, a_own, b_own = stack.pop()
 
 
 def _walk(parent: dict, t: Term, compress: bool = True) -> Term:
@@ -657,18 +664,27 @@ def store_from(cs: Iterable[Constraint]) -> Optional[Store]:
     return assert_many(Store(), cs)
 
 
-def _var_age(t: Term) -> tuple:
-    return (0, t.id) if isinstance(t, Var) else (1,)
+def solved_store(cs: Iterable[Constraint]) -> Store:
+    """The store of the bindings that a solved form from :func:`project`
+    states, to be read, not extended: nothing is asserted. An equality of
+    two variables binds the right one, any other its left side."""
+    parent: dict[Term, Term] = {}
+    for left, right in (c.args for c in cs):
+        if right.__class__ is Var:
+            left, right = right, left
+        parent[left] = right
+    return Store(parent)
 
 
 def _orient(cs: Iterable[Constraint]) -> frozenset[Constraint]:
     """The constraints with each equality and disequality oriented
-    older-variable-first, inserted in the order given."""
+    older-variable-first, a variable before any other term, inserted in the
+    order given."""
     out = []
     for c in cs:
         if c.functor in ("eq", "neq"):
             l, r = c.args
-            if sorted((_var_age(l), _var_age(r))) != [_var_age(l), _var_age(r)]:
+            if r.__class__ is Var and (l.__class__ is not Var or l.id > r.id):
                 c = Constraint(c.functor, (r, l))
         out.append(c)
     return frozenset(out)
@@ -688,24 +704,26 @@ def simplify(s: Store) -> frozenset[Constraint]:
     return _orient(kept)
 
 
-def project(s: Store, keep: Iterable[Var]) -> frozenset[Constraint]:
+def project(s: Store, keep: AbstractSet[Var]) -> frozenset[Constraint]:
     """What the store says about the variables in ``keep``, every other
-    variable existentially quantified, as a simplified constraint set.
+    variable existentially quantified, as a simplified constraint set in
+    canonical form, which is its own key.
 
-    Read off the union-find, not the constraint list. Each unbound class is
-    named by its first kept member in name order. Every other kept variable
-    is equated with its class's name or with the term its class is bound
-    to; the disequalities and order edges follow, resolved the same way.
-    Variables outside ``keep`` remain only where a kept one's term, or a
-    disequality or order edge, needs them.
-
-    Without disequalities and order edges the residue is a solved form:
-    each of its equalities binds a kept variable that occurs nowhere else,
-    to a term over unbound variables. No constraint of it is entailed by the
-    others, so it is only oriented, as :func:`simplify` would. Otherwise the
-    residue is simplified.
+    Read off the union-find. Each unbound class is named by its first kept
+    member in name order; every other kept variable is equated with that
+    name or with the term its class is bound to. This solved form is only
+    oriented, as :func:`simplify` would: each equality binds a variable
+    found nowhere else. The disequalities and order edges follow, resolved
+    the same way, and are simplified on their own. Other variables remain
+    where these need them, named ``_L1``, ``_L2``, ... in order of first
+    occurrence, left to right: through the kept variables' terms in name
+    order, the disequalities as asserted, then the order edges, sorted by
+    their ends as named after the kept terms.
     """
-    names: dict[Var, Var] = {}
+    fresh = (v for v in map(Var, map("_L{}".format, itertools.count(1))) if v not in keep)
+    # The name of each unbound representative: its class's first kept
+    # member, or else, when first met, the next of _L1, _L2, ... not kept.
+    names: dict[Var, Var] = defaultdict(fresh.__next__)
     bound = []
     for v in sorted(keep):
         r = s.walk(v)
@@ -714,19 +732,26 @@ def project(s: Store, keep: Iterable[Var]) -> frozenset[Constraint]:
         else:
             bound.append(v)
     memo: dict = {}
-    residue = {Constraint("eq", (v, s.find(v, memo, names))) for v in bound}
-    for rel, pairs in (("neq", s.suspended_neqs), ("lt", s.strict), ("le", s.nonstrict)):
-        for a, b in pairs:
-            residue.add(Constraint(rel, (s.find(a, memo, names), s.find(b, memo, names))))
-    ordered = sorted(residue, key=constraint_key)
+    # In name order, which is also the order of their constraint keys.
+    eqs = [Constraint("eq", (v, s.find(v, memo, names))) for v in bound]
     if not (s.suspended_neqs or s.strict or s.nonstrict):
-        return _orient(ordered)
-    store = store_from(ordered)
+        return _orient(eqs)
+    # The edge sets iterate in hash order; an end not named yet sorts by its
+    # own name.
+    edges = [("lt", *e) for e in s.strict] + [("le", *e) for e in s.nonstrict]
+    edges.sort(
+        key=lambda e: constraint_key(Constraint(e[0], tuple(names.get(t, t) for t in e[1:])))
+    )
+    rest = [
+        Constraint(rel, (s.find(a, memo, names), s.find(b, memo, names)))
+        for rel, a, b in [*(("neq", *p) for p in s.suspended_neqs), *edges]
+    ]
+    store = store_from(sorted(set(rest), key=constraint_key))
     if store is None:
         # A projection of a consistent store cannot be inconsistent; be
         # safe anyway.
-        return frozenset(residue)
-    return simplify(store)
+        return frozenset(eqs + rest)
+    return _orient(eqs) | simplify(store)
 
 
 def dnf_satisfiable(

@@ -342,10 +342,6 @@ def subst_constraint(s: Mapping[Var, Term], c: Constraint) -> Constraint:
     return Constraint(c.functor, args)
 
 
-def subst_constraints(s: Mapping[Var, Term], cs: Iterable[Constraint]) -> frozenset[Constraint]:
-    return frozenset(subst_constraint(s, c) for c in cs)
-
-
 def unify(t1: Term, t2: Term, s: Optional[Subst] = None) -> Optional[Subst]:
     """Most general unifier of ``t1`` and ``t2`` extending ``s``, or None.
 

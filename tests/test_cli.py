@@ -125,6 +125,23 @@ def test_min_pipeline_output_bytes(tmp_path):
     assert simplified == (GOLDEN / "min_all_transform.txt").read_bytes()
 
 
+def test_append_transform_output_bytes():
+    # The all-answers path on a recursive program: transform of the five
+    # append rules under a fixed hash seed. The golden holds its stdout,
+    # then its `rejected:` lines from stderr.
+    env = {**os.environ, "PYTHONHASHSEED": "0",
+           "PYTHONPATH": str(Path(chrgen.__file__).parent.parent)}
+    run = subprocess.run(
+        [sys.executable, "-m", "chrgen", "transform", str(DATA / "append.rules"),
+         str(DATA / "append.clp")],
+        capture_output=True, env=env, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    rejected = [line for line in run.stderr.splitlines(keepends=True)
+                if line.startswith(b"rejected: ")]
+    assert run.stdout + b"".join(rejected) == (GOLDEN / "append_transform.out").read_bytes()
+
+
 def test_validate_runs_goals(tmp_path, capsys):
     rules = tmp_path / "in.rules"
     rules.write_text(
@@ -139,6 +156,22 @@ def test_validate_runs_goals(tmp_path, capsys):
     assert rc == 0
     assert "1 consistent final store" in out
     assert "Z=0" in out
+
+
+def test_validate_goals_drops_a_rule_without_user_defined_head(tmp_path, capsys):
+    # Such a rule cannot be run by the CHR runtime: it is left out of the
+    # goal runs with the same note that `emit` prints, not a traceback.
+    rules = tmp_path / "in.rules"
+    rules.write_text("X=0 ==> X\\=1.\nmin(X,Y,Z), X#=<Y <=> Z=X, X#=<Y.\n")
+    goals = tmp_path / "goals.txt"
+    goals.write_text("min(0,1,Z)\n")
+    rc = main(["validate", str(rules), "--program", str(DATA / "min.clp"),
+               "--goals", str(goals)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "goal 'min(0,1,Z)': 1 consistent final store(s)" in captured.out
+    assert captured.err.startswith("dropped rule: ")
+    assert "X=0" in captured.err
 
 
 def test_oracle_command(capsys):

@@ -7,11 +7,20 @@ instead of unfolding.
 """
 
 import itertools
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
+from unittest import mock
 
-from chrgen import oracle
-from chrgen.program import parse_goal, parse_program
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import chrgen
+from chrgen import miner, oracle, solver, terms, transform
+from chrgen.program import parse_goal, parse_program, parse_spec
 from chrgen.resolution import (
     Answers,
     DepthExceeded,
@@ -19,8 +28,25 @@ from chrgen.resolution import (
     Fails,
     evaluate,
 )
-from chrgen.solver import entails, store_from
-from chrgen.terms import Const, constraints_vars, prim, subst_constraint
+from chrgen.rules import parse_rules
+from chrgen.solver import entails, project, store_from
+from chrgen.terms import (
+    NIL,
+    Compound,
+    Const,
+    Var,
+    cons,
+    constraint_key,
+    constraints_vars,
+    match_subst_constraint,
+    match_subst_constraints,
+    prim,
+    renaming_for,
+    subst_constraint,
+)
+
+from conftest import DATA
+from util import OwnNames, project_by_simplify
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +198,225 @@ def test_deep_answers_reach_the_answer_cap(append_program):
     goal = parse_goal("append(X,Y,Z), X=Z, Y=[]")
     out = evaluate(append_program, goal, mode="all_answers", answer_cap=350)
     assert isinstance(out, DepthExceeded)
+
+
+# ---------------------------------------------------------------------------
+# One canonical answer form  [DERIVED]
+# ---------------------------------------------------------------------------
+
+
+def _project_store(store, variables):
+    """Reference: an answer as it was built before projections were
+    canonical. The store is projected with its own names for the locals,
+    which are then renamed apart with fresh ``_L`` names."""
+    projected = project_by_simplify(store, variables, OwnNames())
+    ren = renaming_for(constraints_vars(projected) - variables, prefix="_L")
+    return frozenset(subst_constraint(ren, c) for c in projected)
+
+
+def _answer_canonical(a, keep):
+    """Reference: the key under which such an answer was recorded."""
+    mapping = {}
+    ordered = sorted(a, key=constraint_key)
+    for c in ordered:
+        for v in sorted(constraints_vars([c]), key=lambda v: v.id):
+            if v not in keep and v not in mapping:
+                mapping[v] = Var(f"_C{len(mapping) + 1}")
+    return tuple(sorted(constraint_key(subst_constraint(mapping, c)) for c in ordered))
+
+
+def _reference_key(store, keep):
+    # Fresh names of one width, so that their string order is the order
+    # in which they were made.
+    with mock.patch.object(terms, "_counter", itertools.count(10_000)):
+        return _answer_canonical(_project_store(store, keep), keep)
+
+
+def _recorded_answers(run):
+    """(entry, store, variables) at every answer that ``run()`` records,
+    with fresh variables named as in a fresh process."""
+    records = []
+    add_answer = Evaluation._add_answer
+
+    def record(self, entry, store, answer_work):
+        records.append((entry, store, entry.variables))
+        return add_answer(self, entry, store, answer_work)
+
+    with mock.patch.object(Evaluation, "_add_answer", record), \
+            mock.patch.object(terms, "_counter", itertools.count(1)):
+        run()
+    return records
+
+
+def _groups(keys):
+    """Each key replaced by the index of its first occurrence."""
+    first = {}
+    return [first.setdefault(k, i) for i, k in enumerate(keys)]
+
+
+def _transform_append():
+    rules = parse_rules((DATA / "append.rules").read_text())
+    transform.to_simplification(rules, None, parse_program((DATA / "append.clp").read_text()))
+
+
+def _mine_bool_general():
+    program = parse_program((DATA / "bool.clp").read_text())
+    for name in ("and_min", "and_split", "bool_full", "min_split", "min_sym", "xor"):
+        spec = parse_spec((DATA / f"{name}.spec").read_text(), mode="general")
+        miner.mine_general(program, spec, miner.MinerOptions())
+
+
+def test_answers_group_as_the_reference_keys_on_recorded_answers():
+    # Within each entry, the canonical answers must identify exactly the
+    # answers that the reference keys identify: the answer cap counts
+    # distinct answers, so a coarser or a finer key would move verdicts.
+    for run, n in ((_transform_append, 141), (_mine_bool_general, 434)):
+        records = _recorded_answers(run)
+        assert len(records) == n
+        answers = [(id(e), project(s, keep)) for e, s, keep in records]
+        references = [(id(e), _reference_key(s, keep)) for e, s, keep in records]
+        assert _groups(answers) == _groups(references)
+
+
+def test_stores_that_differ_only_in_their_locals_project_to_equal_answers():
+    X, Y, Z = Var("X"), Var("Y"), Var("Z")
+
+    def store(a, b, c):
+        return store_from([
+            prim("eq", X, cons(a, b)), prim("eq", Y, cons(b, c)),
+            prim("neq", a, c), prim("le", c, Z),
+        ])
+
+    # The same store, with its locals made in the opposite order.
+    first = store(Var("_G1"), Var("_G2"), Var("_G3"))
+    second = store(Var("_G9"), Var("_G8"), Var("_G7"))
+    L1, L2, L3 = Var("_L1"), Var("_L2"), Var("_L3")
+    assert project(first, {X, Y, Z}) == project(second, {X, Y, Z}) == {
+        prim("eq", X, cons(L1, L2)), prim("eq", Y, cons(L2, L3)),
+        prim("neq", L1, L3), prim("le", L3, Z),
+    }
+
+
+def test_locals_are_not_named_like_a_kept_variable():
+    # A goal may name a variable _L1 itself; a local is then named _L2.
+    program = parse_program("p(X, Y) :- X = f(A).")
+    out = Evaluation(program, parse_goal("p(X, _L1)")).run("all_answers")
+    assert out.answers == ({prim("eq", Var("X"), Compound("f", (Var("_L2"),)))},)
+
+
+_SEED_PROGRAM = """\
+p(X) :- X = f(A, B), A #< B.
+p(X) :- X = g(A), A \\= a.
+p(X) :- X = h(A), B #< A, C #< B.
+p(X) :- X = [A|T], q(T, A).
+q(T, A) :- T = [], A = b.
+q(T, A) :- T = [B], B #=< A.
+"""
+
+_SEED_SCRIPT = f"""
+from chrgen.program import format_constraint, parse_goal, parse_program
+from chrgen.resolution import evaluate
+program = parse_program({_SEED_PROGRAM!r})
+for tabling in (True, False):
+    out = evaluate(program, parse_goal("p(X)"), mode="all_answers", tabling=tabling)
+    for answer in out.answers:
+        print(sorted(format_constraint(c) for c in answer))
+"""
+
+
+def test_answers_and_their_order_do_not_depend_on_the_hash_seed():
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": str(Path(chrgen.__file__).parent.parent)}
+        run = subprocess.run([sys.executable, "-c", _SEED_SCRIPT],
+                             capture_output=True, env=env, check=False)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 10
+    assert re.search(rb"\['X=f\((_L\d+),(_L\d+)\)', '\1#<\2'\]", outputs[0])
+
+
+def test_answers_leave_evaluate_with_locals_of_their_own():
+    # The answer-set test puts answers of two goals into one store, so no
+    # two answers that evaluate returns may share a local.
+    program = parse_program(_SEED_PROGRAM)
+    seen = []
+    for tabling in (True, False):
+        out = evaluate(program, parse_goal("p(X)"), mode="all_answers", tabling=tabling)
+        assert len(out.answers) == 5
+        seen += [constraints_vars(a) - {Var("X")} for a in out.answers]
+    assert sum(map(len, seen)) == len(set().union(*seen)) == 16
+
+
+_KEEP = frozenset({Var("X"), Var("Y"), Var("Z")})
+_LOCALS = [Var(f"_A{i}") for i in range(1, 5)]
+
+
+def _terms(leaves):
+    return st.recursive(st.sampled_from(leaves), lambda inner: st.builds(cons, inner, inner),
+                        max_leaves=4)
+
+
+# Disequalities and order edges mention one local only: a local met first
+# there is named in the order the disequalities were asserted, or the edges'
+# sort order, which two variant stores need not share.
+_EDGE_ENDS = [*sorted(_KEEP), _LOCALS[0], Const("0"), Const("1"), Const("2")]
+_CONSTRAINT = st.one_of(
+    st.builds(lambda l, r: prim("eq", l, r),
+              _terms([*sorted(_KEEP), *_LOCALS, Const("a"), NIL]),
+              _terms([*sorted(_KEEP), *_LOCALS, Const("a"), NIL])),
+    st.builds(lambda l, r: prim("neq", l, r),
+              _terms([*sorted(_KEEP), _LOCALS[0], Const("a"), NIL]),
+              _terms([*sorted(_KEEP), _LOCALS[0], Const("a"), NIL])),
+    st.builds(prim, st.sampled_from(["le", "lt"]), st.sampled_from(_EDGE_ENDS),
+              st.sampled_from(_EDGE_ENDS)),
+)
+
+
+def _renamed(cs, order):
+    """The constraints with their locals renamed, in the given order."""
+    ren = {v: Var(f"_B{i}") for v, i in zip(_LOCALS, order)}
+    return [match_subst_constraint(ren, c) for c in cs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_CONSTRAINT, max_size=6), st.permutations(range(1, 5)))
+def test_projection_does_not_depend_on_the_names_of_locals(cs, order):
+    s = store_from(cs)
+    if s is None:
+        return
+    assert project(s, _KEEP) == project(store_from(_renamed(cs, order)), _KEEP)
+
+
+def _variants(a, b, keep):
+    """Whether the answers are equal up to a renaming of their locals."""
+    la = sorted(constraints_vars(a) - keep)
+    lb = sorted(constraints_vars(b) - keep)
+    return len(la) == len(lb) and any(
+        solver._orient(match_subst_constraints(dict(zip(la, p)), a)) == solver._orient(b)
+        for p in itertools.permutations(lb)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_CONSTRAINT, max_size=5), min_size=2, max_size=4),
+       st.permutations(range(1, 5)))
+def test_answers_never_split_what_the_reference_keys_join(specs, order):
+    # Each answer is the reference's projection up to the names of its
+    # locals, and answers that the reference keys join are equal. The
+    # converse does not hold on any store: the reference keys of
+    # X=[A|B] and X=[B|A] differ.
+    stores = [s for cs in specs for s in (store_from(cs), store_from(_renamed(cs, order)))
+              if s is not None]
+    answers = [project(s, _KEEP) for s in stores]
+    for s, answer in zip(stores, answers):
+        assert _variants(answer, project_by_simplify(s, _KEEP, OwnNames()), _KEEP)
+    references = [_reference_key(s, _KEEP) for s in stores]
+    for (i, ai), (j, aj) in itertools.combinations(enumerate(answers), 2):
+        if references[i] == references[j]:
+            assert ai == aj
 
 
 # ---------------------------------------------------------------------------

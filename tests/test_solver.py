@@ -8,6 +8,7 @@ solver to report satisfiable.
 """
 
 import contextlib
+from collections import defaultdict
 import io
 import itertools
 from unittest import mock
@@ -30,23 +31,26 @@ from chrgen.solver import (
     project,
     satisfiable,
     simplify,
+    solved_store,
     store_from,
 )
 from chrgen.terms import (
     Compound,
     Const,
-    Constraint,
     Var,
     apply_match,
     atom,
     cons,
     constraint_key,
     make_list,
+    match_subst_constraint,
+    match_subst_constraints,
     prim,
     NIL,
 )
 
 from conftest import DATA
+from util import project_by_simplify
 
 X, Y, Z, W = Var("X"), Var("Y"), Var("Z"), Var("W")
 a, b = Const("a"), Const("b")
@@ -319,10 +323,22 @@ def test_project_keeps_what_it_cannot_eliminate():
     L = Var("L")
     s = store_from([prim("le", X, L), prim("le", L, Y), prim("neq", L, c1)])
     out = project(s, {X, Y})
-    # sound: the projection says no more than the store; the local stays
+    # sound: the projection says no more than the store; the local stays,
+    # named _L1
+    named = {L: Var("_L1")}
     s2 = store_from(out)
-    assert all(entails(s2, c) for c in s.constraints)
-    assert all(entails(s, c) for c in out)
+    assert all(entails(s2, match_subst_constraint(named, c)) for c in s.constraints)
+    assert all(entails(store_from(match_subst_constraints(named, s.constraints)), c) for c in out)
+
+
+def test_occurs_check_sees_a_variable_bound_within_the_same_equality():
+    # [X,X|X] = [Y|X] binds X to Y, then needs Y = [X|X]: Y occurs once in
+    # the equality, but through X it occurs in [X|X] too. Skipping the
+    # occurs check for Y left a cyclic store, on which find never ends.
+    assert store_from([prim("eq", cons(X, cons(X, X)), cons(Y, X))]) is None
+    assert store_from([prim("eq", cons(Y, X), cons(X, cons(X, X)))]) is None
+    # Here X = [Y|Z] first, so X = [X|X] reaches Y through X's binding.
+    assert store_from([prim("eq", cons(X, X), cons(cons(Y, Z), cons(X, X)))]) is None
 
 
 def test_find_resolves_a_long_chain_without_recursion():
@@ -334,24 +350,9 @@ def test_find_resolves_a_long_chain_without_recursion():
 
 def _project_by_simplify(s, keep):
     """Reference: the projection that builds a store from the whole residue
-    and simplifies it."""
-    names = {}
-    bound = []
-    for v in sorted(keep):
-        r = s.walk(v)
-        if isinstance(r, Var) and r not in names:
-            names[r] = v
-        else:
-            bound.append(v)
-    memo = {}
-    residue = {Constraint("eq", (v, s.find(v, memo, names))) for v in bound}
-    for rel, pairs in (("neq", s.suspended_neqs), ("lt", s.strict), ("le", s.nonstrict)):
-        for l, r in pairs:
-            residue.add(Constraint(rel, (s.find(l, memo, names), s.find(r, memo, names))))
-    store = store_from(sorted(residue, key=constraint_key))
-    if store is None:
-        return frozenset(residue)
-    return simplify(store)
+    and simplifies it, with the locals named as :func:`project` names them."""
+    fresh = (v for v in map(Var, map("_L{}".format, itertools.count(1))) if v not in keep)
+    return project_by_simplify(s, keep, defaultdict(fresh.__next__))
 
 
 EQ_VARS = [Var(n) for n in "ABCDEF"]
@@ -378,6 +379,31 @@ def test_project_of_equalities_matches_the_simplified_residue(cs, keep):
         got = project(s, keep)
     assert got == expected
     assert list(got) == list(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # Variables on the left, and often on the right too, so that classes of
+    # several variables are common.
+    st.lists(
+        st.builds(lambda v, t: prim("eq", v, t), st.sampled_from(EQ_VARS),
+                  st.one_of(st.sampled_from(EQ_VARS), EQ_TERMS)),
+        max_size=6,
+    ),
+    st.sets(st.sampled_from(EQ_VARS)),
+    st.sets(st.sampled_from(EQ_VARS)),
+)
+def test_a_solved_form_read_back_projects_as_its_store(cs, keep, fewer):
+    # Projecting a solved form onto fewer variables, as an answer is lifted
+    # to an entry higher up, needs no store built from it.
+    s = store_from(cs)
+    if s is None:
+        return
+    answer = project(s, keep)
+    assert project(solved_store(answer), keep) == answer
+    fewer &= keep
+    expected = project(store_from(sorted(answer, key=constraint_key)), fewer)
+    assert project(solved_store(answer), fewer) == expected
 
 
 @pytest.mark.parametrize("extra", [prim("neq", Y, a), prim("le", Y, Z)])
