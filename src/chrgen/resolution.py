@@ -15,10 +15,9 @@ recorded only where it can be used: at the nearest ancestor-or-self of the
 leaf or consumer that is a registered producer (only producers can ever
 have consumers), or else at the root. It is projected once, onto that
 entry's variables, by :func:`solver.project`, which reads the branch
-store's union-find and names the other variables it keeps canonically, so
-an answer is its own key. A producer's answer is lifted to the next such
-entry up in the same way; a solved form is read back as the bindings it
-states, without a store built from it.
+store's union-find and names the locals reached through the entry
+variables' terms canonically, so an answer is its own key. A producer's
+answer is lifted to the next such entry up in the same way.
 
 The classical evaluator keeps the resolvent as an ordered literal sequence
 with left-to-right selection: leading primitive constraints are moved into
@@ -210,11 +209,15 @@ class Evaluation:
                 entry = work.popleft()
                 self._expand(entry, work, answer_work)
 
-        if root.answers and mode == "exists":
-            return Answers((next(iter(root.answers)),))
+        if root.answers:
+            if mode == "exists":
+                return Answers((next(iter(root.answers)),))
+            if self.depth_exceeded or self.cap_exceeded:
+                return DEPTH_EXCEEDED
+            return Answers(tuple(sorted(root.answers, key=_answer_key)))
         if self.depth_exceeded or self.cap_exceeded:
             return DEPTH_EXCEEDED
-        return Answers(tuple(sorted(root.answers, key=_answer_key))) if root.answers else FAILS
+        return FAILS
 
     def _settled(self, mode: str, root: _Entry) -> bool:
         """Whether the outcome is fixed: in mode ``exists`` by a root
@@ -377,15 +380,14 @@ class Evaluation:
 
     def _lift(self, entry: _Entry, ans: Answer, answer_work: deque):
         # A producer's answer is an answer of the next entry up that records
-        # answers, projected onto its variables; a solved form from its bindings.
-        solved = all(c.functor == "eq" for c in ans)
-        store = solver.solved_store(ans) if solved else store_from(sorted(ans, key=constraint_key))
+        # answers, once projected onto that entry's variables.
+        store = store_from(sorted(ans, key=constraint_key))
         self._add_answer(entry.parent.target, store, answer_work)
 
     def _consume(self, consumer: _Entry, ans: Answer, sigma: Subst, answer_work: deque):
-        # The answer's call variables map onto the consumer's terms, and only
-        # its locals, the variables sigma leaves alone, get fresh names.
-        local_ren = renaming_for(constraints_vars(ans).difference(sigma), prefix="_L")
+        # The answer's locals get fresh names; its call variables map onto
+        # the consumer's terms.
+        local_ren = renaming_for(constraints_vars(ans) - set(sigma), prefix="_L")
         mapped = match_subst_constraints({**local_ren, **sigma}, ans)
         store = assert_many(consumer.store, sorted(mapped, key=constraint_key))
         if store is None:
@@ -635,14 +637,15 @@ def evaluate(
     DEPTH_EXCEEDED; mode="all_answers" returns the saturated answer set or
     DEPTH_EXCEEDED when the bound or the answer cap was hit. With
     ``tabling=False`` the classical ordered depth-first scheme is used
-    instead of the tabled forest. Each answer's locals come back under fresh
-    names, since answers of different goals meet when compared.
+    instead of the tabled forest. In mode "all_answers" each answer's locals
+    come back under fresh names, since answers of different goals meet when
+    compared; an "exists" witness is returned as found.
     """
     if not tabling:
         out = _classical(program, goal, depth, mode, answer_cap, trace)
     else:
         out = Evaluation(program, goal, depth, answer_cap, trace).run(mode)
-    if not isinstance(out, Answers):
+    if mode == "exists" or not isinstance(out, Answers):
         return out
     goal_vars = constraints_vars(goal)
     renamings = [{v: fresh_var("_L") for v in sorted(constraints_vars(a) - goal_vars)}

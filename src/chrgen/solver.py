@@ -285,9 +285,6 @@ class Store:
                 r = u
                 if any(map(is_not, args, u.args)):
                     r = Compound(u.functor, tuple(args))
-                    # Answers are hashed: hash it now, as Compound.__hash__
-                    # would, from the hashes its new arguments hold.
-                    object.__setattr__(r, "_hash", hash((r.functor, r.args)))
                 # The compound is kept with its entry, so that its id is not
                 # reused while the memo lives.
                 memo[id(u)] = (u, r)
@@ -664,18 +661,6 @@ def store_from(cs: Iterable[Constraint]) -> Optional[Store]:
     return assert_many(Store(), cs)
 
 
-def solved_store(cs: Iterable[Constraint]) -> Store:
-    """The store of the bindings that a solved form from :func:`project`
-    states, to be read, not extended: nothing is asserted. An equality of
-    two variables binds the right one, any other its left side."""
-    parent: dict[Term, Term] = {}
-    for left, right in (c.args for c in cs):
-        if right.__class__ is Var:
-            left, right = right, left
-        parent[left] = right
-    return Store(parent)
-
-
 def _orient(cs: Iterable[Constraint]) -> frozenset[Constraint]:
     """The constraints with each equality and disequality oriented
     older-variable-first, a variable before any other term, inserted in the
@@ -706,8 +691,8 @@ def simplify(s: Store) -> frozenset[Constraint]:
 
 def project(s: Store, keep: AbstractSet[Var]) -> frozenset[Constraint]:
     """What the store says about the variables in ``keep``, every other
-    variable existentially quantified, as a simplified constraint set in
-    canonical form, which is its own key.
+    variable existentially quantified, as a simplified constraint set that
+    serves as its own key.
 
     Read off the union-find. Each unbound class is named by its first kept
     member in name order; every other kept variable is equated with that
@@ -718,7 +703,11 @@ def project(s: Store, keep: AbstractSet[Var]) -> frozenset[Constraint]:
     where these need them, named ``_L1``, ``_L2``, ... in order of first
     occurrence, left to right: through the kept variables' terms in name
     order, the disequalities as asserted, then the order edges, sorted by
-    their ends as named after the kept terms.
+    their ends as named after the kept terms. So stores that differ only in
+    the names of variables reached through the kept terms project to equal
+    sets; a variable first met in a disequality or order edge is named by
+    assertion order or by its own name, and can make two such projections
+    only variants of each other.
     """
     fresh = (v for v in map(Var, map("_L{}".format, itertools.count(1))) if v not in keep)
     # The name of each unbound representative: its class's first kept

@@ -287,11 +287,13 @@ def test_stores_that_differ_only_in_their_locals_project_to_equal_answers():
             prim("neq", a, c), prim("le", c, Z),
         ])
 
-    # The same store, with its locals made in the opposite order.
+    # The same store, with its locals made in the opposite order, and with
+    # names that sort differently as strings than as numbers.
     first = store(Var("_G1"), Var("_G2"), Var("_G3"))
     second = store(Var("_G9"), Var("_G8"), Var("_G7"))
+    third = store(Var("_G10"), Var("_G9"), Var("_G11"))
     L1, L2, L3 = Var("_L1"), Var("_L2"), Var("_L3")
-    assert project(first, {X, Y, Z}) == project(second, {X, Y, Z}) == {
+    assert project(first, {X, Y, Z}) == project(second, {X, Y, Z}) == project(third, {X, Y, Z}) == {
         prim("eq", X, cons(L1, L2)), prim("eq", Y, cons(L2, L3)),
         prim("neq", L1, L3), prim("le", L3, Z),
     }

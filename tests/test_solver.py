@@ -31,7 +31,6 @@ from chrgen.solver import (
     project,
     satisfiable,
     simplify,
-    solved_store,
     store_from,
 )
 from chrgen.terms import (
@@ -41,7 +40,6 @@ from chrgen.terms import (
     apply_match,
     atom,
     cons,
-    constraint_key,
     make_list,
     match_subst_constraint,
     match_subst_constraints,
@@ -379,31 +377,6 @@ def test_project_of_equalities_matches_the_simplified_residue(cs, keep):
         got = project(s, keep)
     assert got == expected
     assert list(got) == list(expected)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    # Variables on the left, and often on the right too, so that classes of
-    # several variables are common.
-    st.lists(
-        st.builds(lambda v, t: prim("eq", v, t), st.sampled_from(EQ_VARS),
-                  st.one_of(st.sampled_from(EQ_VARS), EQ_TERMS)),
-        max_size=6,
-    ),
-    st.sets(st.sampled_from(EQ_VARS)),
-    st.sets(st.sampled_from(EQ_VARS)),
-)
-def test_a_solved_form_read_back_projects_as_its_store(cs, keep, fewer):
-    # Projecting a solved form onto fewer variables, as an answer is lifted
-    # to an entry higher up, needs no store built from it.
-    s = store_from(cs)
-    if s is None:
-        return
-    answer = project(s, keep)
-    assert project(solved_store(answer), keep) == answer
-    fewer &= keep
-    expected = project(store_from(sorted(answer, key=constraint_key)), fewer)
-    assert project(solved_store(answer), fewer) == expected
 
 
 @pytest.mark.parametrize("extra", [prim("neq", Y, a), prim("le", Y, Z)])
