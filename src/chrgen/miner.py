@@ -6,6 +6,13 @@ prunes supersets of failing ones, and asks the tabled engine one
 fail/succeed question per (lhs, rhs-candidate) pair. The general miner
 replaces the negated-goal test by an answer-set comparison so user-defined
 constraints may appear on the right hand side.
+
+The bookkeeping around those questions is done once per lhs, not once per
+rule or pair. An engine orders the candidate subsets once for the miners
+that share it. The splitting miner checks each pair against what the prior
+rules imply for its lhs, collected once per lhs. ``simplify_ruleset`` keys
+each lhs once, and closes it once under the kept rules, until the next rule
+is kept.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import Iterable, Optional
 from . import solver
 from .program import CandidateSpec, Program, format_constraints
 from .resolution import FAILS, Answers, DepthExceeded, Fails, evaluate
-from .rules import Rule, RuleSet
+from .rules import KINDS, Rule, RuleSet
 from .solver import BlowupExceeded, dnf_satisfiable, negate, store_from
 from .terms import (
     Constraint,
@@ -65,6 +72,15 @@ class _Engine:
         self.stats = MinerStats()
         self._fail_cache: dict[frozenset, object] = {}
         self._answers_cache: dict[frozenset, object] = {}
+        self._subsets: dict[tuple, list[frozenset]] = {}
+
+    def ordered_subsets(self, cands: tuple[Constraint, ...]) -> list[frozenset]:
+        """:func:`_ordered_subsets` of a candidate list, computed once per
+        engine and shared by the miners that run on it."""
+        subsets = self._subsets.get(cands)
+        if subsets is None:
+            subsets = self._subsets[cands] = _ordered_subsets(cands)
+        return subsets
 
     def goal_fails(self, constraints: frozenset):
         """Outcome of an exists-mode evaluation, cached per goal set."""
@@ -167,7 +183,7 @@ def mine_primitive(
     silent_failures: list[frozenset] = []  # opt1: known failing, never emitted
     opt2_blocks: list[tuple[frozenset, Constraint]] = []
 
-    for c_lhs in _ordered_subsets(spec.cand_lhs):
+    for c_lhs in engine.ordered_subsets(spec.cand_lhs):
         if any(f <= c_lhs for f in failure_filters):
             continue
         if opts.opt1 and any(f <= c_lhs for f in silent_failures):
@@ -231,7 +247,9 @@ def mine_splitting(
 ) -> RuleSet:
     """Primitive splitting rules lhs ==> d1 ; d2, skipping pairs already
     implied by a prior propagation rule (the validity test itself is
-    avoided in that case)."""
+    avoided in that case). The prior rules are read once per lhs: a
+    failure rule among those that apply skips it, and the rhs constraints
+    of the others are what each pair is checked against."""
     opts = opts or MinerOptions()
     engine = engine or _Engine(program, opts)
     rs = RuleSet()
@@ -244,22 +262,21 @@ def mine_splitting(
         for d1, d2 in itertools.combinations(_primitive_rhs(spec), 2)
     ]
 
-    def redundant(lhs: frozenset, d1: Constraint, d2: Constraint) -> bool:
-        return any(
-            r.kind in ("propagation", "simplification")
-            and r.lhs <= lhs
-            and (d1 in r.rhs or d2 in r.rhs)
-            for r in prior_rules
-        )
-
-    for c_lhs in _ordered_subsets(spec.cand_lhs):
+    for c_lhs in engine.ordered_subsets(spec.cand_lhs):
         lhs = base | c_lhs
-        if any(r.kind == "failure" and r.lhs <= lhs for r in prior_rules):
+        applicable = [r for r in prior_rules if r.lhs <= lhs]
+        if any(r.kind == "failure" for r in applicable):
             continue
+        implied = {
+            d
+            for r in applicable
+            if r.kind in ("propagation", "simplification")
+            for d in r.rhs
+        }
         for d1, d2, tautology in pairs:
             if d1 in lhs or d2 in lhs:
                 continue
-            if redundant(lhs, d1, d2):
+            if d1 in implied or d2 in implied:
                 engine.stats.skipped_redundant_splitting += 1
                 continue
             if tautology:
@@ -293,7 +310,7 @@ def mine_general(
     base = spec.base_lhs
     failure_filters: list[frozenset] = []
 
-    for c_lhs in _ordered_subsets(spec.cand_lhs):
+    for c_lhs in engine.ordered_subsets(spec.cand_lhs):
         if any(f <= c_lhs for f in failure_filters):
             continue
         lhs = base | c_lhs
@@ -390,22 +407,45 @@ def simplify_ruleset(rs: RuleSet) -> RuleSet:
     """Order rules most-general-lhs first, simplify every rhs against the
     primitive solver and the already-kept rules, and drop rules whose rhs
     becomes empty or whose lhs is inconsistent with the kept rules.
-    Splitting rules are kept in the output but never saturate a closure."""
-    ordered = sorted(rs.rules, key=Rule.sort_key)
+    Splitting rules are kept in the output but never saturate a closure.
+
+    Rules that share an lhs share its canonical key, its closure and the
+    primitive store of that closure; the last two hold until the next rule
+    is kept, since only the kept rules change a closure."""
+    lhs_keys: dict[frozenset, tuple] = {}
+
+    def order(rule: Rule) -> tuple:
+        key = lhs_keys.get(rule.lhs)
+        if key is None:
+            key = lhs_keys[rule.lhs] = canonical_key(rule.lhs)
+        return (len(rule.lhs), key, KINDS.index(rule.kind), rule.canonical_key())
+
     kept: list[tuple[Rule, list[Constraint]]] = []
+    closures: dict[frozenset, Optional[frozenset]] = {}
+    contexts: dict[frozenset, Optional[solver.Store]] = {}
+
+    def keep(rule: Rule) -> None:
+        kept.append(_closure_entry(rule))
+        closures.clear()
+        contexts.clear()
+
     out = RuleSet(stats=dict(rs.stats))
-    for rule in ordered:
-        closure = _closure(rule.lhs, kept)
+    for rule in sorted(rs.rules, key=order):
+        if rule.lhs not in closures:
+            closures[rule.lhs] = _closure(rule.lhs, kept)
+        closure = closures[rule.lhs]
         if closure is None:
             continue  # lhs unsatisfiable given kept rules: rule is vacuous
         if rule.kind == "failure":
             out.add(rule)
-            kept.append(_closure_entry(rule))
+            keep(rule)
             continue
         if rule.kind == "splitting":
             if any(d in closure for d in rule.rhs):
                 continue
-            ctx = store_from([c for c in closure if c.is_primitive])
+            if rule.lhs not in contexts:
+                contexts[rule.lhs] = store_from([c for c in closure if c.is_primitive])
+            ctx = contexts[rule.lhs]
             if ctx is not None and any(
                 d.is_primitive and solver.entails(ctx, d) for d in rule.rhs
             ):
@@ -417,7 +457,7 @@ def simplify_ruleset(rs: RuleSet) -> RuleSet:
             continue
         new_rule = Rule(rule.kind, rule.lhs, rhs, rule.provenance)
         if out.add(new_rule):
-            kept.append(_closure_entry(new_rule))
+            keep(new_rule)
     return out
 
 

@@ -8,7 +8,10 @@ Concrete syntax is Prolog-flavoured:
 
 with ``#=<``, ``#<``, ``#>``, ``#>=`` for order constraints and ``=`` /
 ``\\=`` for Herbrand equality and disequality. Lists use ``[]``,
-``[H|T]``, ``[a,b]``. Variables start with an uppercase letter or ``_``.
+``[H|T]``, ``[a,b]``. Variables start with an uppercase letter or ``_``;
+``_G``, ``_R`` or ``_S`` followed by digits only are rejected, since
+those are the names of the fresh variables that clause renaming, the CHR
+runtime and rule simplification make.
 Order constraints take variables and integers only. Directives
 (``:- ...``) are rejected.
 
@@ -91,6 +94,10 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# Names of fresh variables (terms.fresh_var): a goal variable named so would
+# be identified with a renamed clause variable.
+_RESERVED_VAR_RE = re.compile(r"_[GRS]\d+")
+
 _REL_TOKENS = {"=": "eq", "\\=": "neq", "#=<": "le", "#<": "lt", "#>=": "ge", "#>": "gt"}
 _REL_SYMBOLS = {v: k for k, v in _REL_TOKENS.items()}
 
@@ -155,6 +162,8 @@ class _Parser:
     def term(self) -> Term:
         tok = self.cur
         if tok.kind == "var":
+            if _RESERVED_VAR_RE.fullmatch(tok.text):
+                self.error(f"variable name {tok.text!r} is reserved for fresh variables")
             self.eat()
             return Var(tok.text)
         if tok.kind == "name":

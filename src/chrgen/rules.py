@@ -46,14 +46,6 @@ class Rule:
         object.__setattr__(self, "_key", key)
         return key
 
-    def sort_key(self) -> tuple:
-        return (
-            len(self.lhs),
-            canonical_key(self.lhs),
-            KINDS.index(self.kind),
-            self.canonical_key(),
-        )
-
 
 @dataclass
 class RuleSet:

@@ -125,6 +125,20 @@ def test_min_pipeline_output_bytes(tmp_path):
     assert simplified == (GOLDEN / "min_all_transform.txt").read_bytes()
 
 
+def test_min_all_machine_output_bytes():
+    # The same generate run in --format machine: its rules with provenance
+    # and its verdict and skip counters must match the golden byte for byte.
+    env = {**os.environ, "PYTHONHASHSEED": "0",
+           "PYTHONPATH": str(Path(chrgen.__file__).parent.parent)}
+    run = subprocess.run(
+        [sys.executable, "-m", "chrgen", "generate", str(DATA / "min.clp"),
+         str(DATA / "min.spec"), "--mode", "all", "--format", "machine"],
+        capture_output=True, env=env, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (GOLDEN / "min_all.json").read_bytes()
+
+
 def test_append_transform_output_bytes():
     # The all-answers path on a recursive program: transform of the five
     # append rules under a fixed hash seed. The golden holds its stdout,
@@ -188,6 +202,20 @@ def test_input_error_exit_code(tmp_path, capsys):
     rc = main(["generate", str(bad), str(DATA / "min.spec")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_goal_variable_named_like_a_fresh_variable_is_rejected(tmp_path, capsys):
+    # The clause variable A of p/2 is renamed _G1 in a fresh process, so
+    # this goal would fail although p(X,Y), Y=c has two answers.
+    prog = tmp_path / "fresh.clp"
+    prog.write_text("p(X, Y) :- X = f(A), q(A).\nq(A) :- A = a.\nq(A) :- A = b.\n")
+    spec = tmp_path / "fresh.spec"
+    spec.write_text("base: p(X, _G1)\ncand_lhs: _G1 = c\ncand_rhs: X = f(a)\n")
+    rc = main(["generate", str(prog), str(spec)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "1:12: variable name '_G1' is reserved" in captured.err
+    assert "==>" not in captured.out
 
 
 def test_program_with_external_directive_is_rejected(tmp_path, capsys):

@@ -2,8 +2,13 @@
 general rules with user-defined right hand sides, redundancy
 simplification, and the three optimization switches."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
+from chrgen import miner, terms
+from chrgen.cli import main
 from chrgen.miner import (
     MinerOptions,
     _Engine,
@@ -13,7 +18,9 @@ from chrgen.miner import (
     simplify_ruleset,
 )
 from chrgen.program import parse_goal, parse_program, parse_spec
-from chrgen.rules import RuleSet, format_rule, parse_rules
+from chrgen.rules import KINDS, Rule, RuleSet, format_rule, parse_rules
+from chrgen.solver import entails, negate, satisfiable, store_from
+from chrgen.terms import canonical_key
 
 from conftest import DATA
 from util import canonical_keys, rule_lines
@@ -223,3 +230,227 @@ def test_empty_rhs_dropped():
     )
     out = simplify_ruleset(rs)
     assert rule_lines(out) == {"p(X) ==> X=a."}
+
+
+# ---------------------------------------------------------------------------
+# Per-lhs bookkeeping against the per-rule references
+# ---------------------------------------------------------------------------
+#
+# The references below do the bookkeeping once per rule or per pair: the
+# sort key of every rule is computed from scratch, every rule closes its
+# lhs again, and every (lhs, pair) scans all prior rules.
+
+
+def _ref_simplify_ruleset(rs):
+    def sort_key(rule):
+        return (
+            len(rule.lhs),
+            canonical_key(rule.lhs),
+            KINDS.index(rule.kind),
+            rule.canonical_key(),
+        )
+
+    kept = []
+    out = RuleSet(stats=dict(rs.stats))
+    for rule in sorted(rs.rules, key=sort_key):
+        closure = miner._closure(rule.lhs, kept)
+        if closure is None:
+            continue
+        if rule.kind == "failure":
+            out.add(rule)
+            kept.append(miner._closure_entry(rule))
+            continue
+        if rule.kind == "splitting":
+            if any(d in closure for d in rule.rhs):
+                continue
+            ctx = store_from([c for c in closure if c.is_primitive])
+            if ctx is not None and any(
+                d.is_primitive and entails(ctx, d) for d in rule.rhs
+            ):
+                continue
+            out.add(rule)
+            continue
+        rhs = miner._simplify_rhs(rule, closure)
+        if not rhs:
+            continue
+        new_rule = Rule(rule.kind, rule.lhs, rhs, rule.provenance)
+        if out.add(new_rule):
+            kept.append(miner._closure_entry(new_rule))
+    return out
+
+
+def _ref_mine_splitting(program, spec, prior=None, opts=None, engine=None):
+    engine = engine or _Engine(program, opts or MinerOptions())
+    rs = RuleSet()
+    prior_rules = list(prior.rules) if prior else []
+    pairs = [
+        (d1, d2, not satisfiable([negate(d1), negate(d2)]))
+        for d1, d2 in itertools.combinations(miner._primitive_rhs(spec), 2)
+    ]
+
+    def redundant(lhs, d1, d2):
+        return any(
+            r.kind in ("propagation", "simplification")
+            and r.lhs <= lhs
+            and (d1 in r.rhs or d2 in r.rhs)
+            for r in prior_rules
+        )
+
+    for c_lhs in miner._ordered_subsets(spec.cand_lhs):
+        lhs = spec.base_lhs | c_lhs
+        if any(r.kind == "failure" and r.lhs <= lhs for r in prior_rules):
+            continue
+        for d1, d2, tautology in pairs:
+            if d1 in lhs or d2 in lhs:
+                continue
+            if redundant(lhs, d1, d2):
+                engine.stats.skipped_redundant_splitting += 1
+                continue
+            if tautology:
+                continue
+            goal = lhs | {negate(d1), negate(d2)}
+            if isinstance(engine.goal_fails(goal), miner.Fails):
+                rs.add(Rule("splitting", lhs, (d1, d2),
+                            (f"goal failed: {miner.format_constraints(goal)}",)))
+    rs.stats = engine.stats.as_dict()
+    return rs
+
+
+def _records(rs):
+    """Everything of a rule set that the output shows: its rules in order,
+    with provenance, and its statistics."""
+    return [(r.kind, r.lhs, r.rhs, r.provenance) for r in rs.rules], rs.stats
+
+
+def _mine(monkeypatch, program, steps, splitting=mine_splitting):
+    """The raw rules that generate mines, all steps on one engine; each step
+    is a miner name with its spec. Fresh variables are numbered from 1."""
+    monkeypatch.setattr(terms, "_counter", itertools.count(1))
+    engine = _Engine(program, MinerOptions())
+    rs = RuleSet()
+    for name, spec in steps:
+        if name == "primitive":
+            part = mine_primitive(program, spec, engine=engine)
+        elif name == "splitting":
+            part = splitting(program, spec, prior=rs, engine=engine)
+        else:
+            part = mine_general(program, spec, engine=engine)
+        for r in part:
+            rs.add(r)
+    rs.stats = engine.stats.as_dict()
+    return rs
+
+
+def _simplified(monkeypatch, simplify, rs):
+    monkeypatch.setattr(terms, "_counter", itertools.count(1))
+    return _records(simplify(rs))
+
+
+def _assert_matches_references(monkeypatch, program, steps):
+    raw = _mine(monkeypatch, program, steps)
+    if any(name == "splitting" for name, _ in steps):
+        ref = _mine(monkeypatch, program, steps, splitting=_ref_mine_splitting)
+        assert _records(raw) == _records(ref)
+    assert _simplified(monkeypatch, simplify_ruleset, raw) == _simplified(
+        monkeypatch, _ref_simplify_ruleset, raw
+    )
+    return raw
+
+
+def _all_modes(spec):
+    return [("primitive", spec), ("splitting", spec), ("general", spec)]
+
+
+def test_min_all_matches_references(monkeypatch, min_program):
+    spec = parse_spec((DATA / "min.spec").read_text(), mode="general")
+    raw = _assert_matches_references(monkeypatch, min_program, _all_modes(spec))
+    assert len(raw) == 2161
+
+
+@pytest.mark.parametrize(
+    "name", ["and_min", "and_split", "bool_full", "min_split", "min_sym", "xor"]
+)
+def test_bool_specs_match_references(monkeypatch, bool_program, name):
+    spec = parse_spec((DATA / f"{name}.spec").read_text(), mode="general")
+    _assert_matches_references(monkeypatch, bool_program, _all_modes(spec))
+    _assert_matches_references(monkeypatch, bool_program, [("general", spec)])
+
+
+def test_append_primitive_matches_reference(monkeypatch, append_program, append_spec):
+    raw = _assert_matches_references(monkeypatch, append_program, [("primitive", append_spec)])
+    assert raw.stats["depth_exceeded"] > 0
+
+
+P3_TABLES = [
+    "p(0,0,0). p(1,1,1).",
+    "p(0,0,1). p(0,1,0). p(1,0,0). p(1,1,1).",
+    "p(0,1,1). p(1,0,1). p(1,1,0).",
+    "p(0,0,0). p(0,1,0). p(1,0,0). p(1,1,1). p(1,1,0).",
+]
+
+
+@pytest.mark.parametrize("table", P3_TABLES)
+def test_fact_tables_match_references(monkeypatch, table):
+    # As the benchmark's fact-table items: primitive and splitting rules
+    # over the argument values, general rules with q/3 and a permuted p/3.
+    program = parse_program(table + " q(0,0,0). q(1,0,1).")
+    cands = "X=0, X=1, Y=0, Y=1, Z=0, Z=1"
+    prim = parse_spec(f"base: p(X,Y,Z)\ncand_lhs: {cands}\ncand_rhs: cand_lhs\n",
+                      mode="primitive")
+    gen = parse_spec(f"base: p(X,Y,Z)\ncand_lhs: {cands}\ncand_rhs: q(X,Y,Z), p(Y,X,Z)\n")
+    _assert_matches_references(
+        monkeypatch, program, [("primitive", prim), ("splitting", prim), ("general", gen)]
+    )
+
+
+def test_splitting_with_every_kind_of_prior_rule_matches_reference(
+    monkeypatch, bool_program, and_spec
+):
+    # A failure rule skips its lhs and supersets; the rhs of a propagation
+    # or simplification rule makes pairs redundant, a splitting rhs does not.
+    prior = parse_rules(
+        """
+        and(X,Y,Z), X=1, Y=0 ==> false.
+        and(X,Y,Z), X=1, Y=1 ==> Z=1.
+        and(X,Y,Z), Z=1 <=> X=1, Y=1.
+        and(X,Y,Z), X=0 ==> Y=0 ; Z=0.
+        and(X,Y,Z), Y=0 ==> Z=0 ; Z=1.
+        """
+    )
+    outcomes = []
+    for splitting in (mine_splitting, _ref_mine_splitting):
+        monkeypatch.setattr(terms, "_counter", itertools.count(1))
+        outcomes.append(_records(splitting(bool_program, and_spec, prior=prior)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1]["skipped_redundant_splitting"] > 0
+
+
+def test_closure_runs_once_per_lhs_until_a_rule_is_kept(monkeypatch, min_program):
+    spec = parse_spec((DATA / "min.spec").read_text(), mode="general")
+    raw = _mine(monkeypatch, min_program, _all_modes(spec))
+    calls = []
+    closure = miner._closure
+
+    def counted(lhs, kept, *args):
+        calls.append((lhs, len(kept)))
+        return closure(lhs, kept, *args)
+
+    monkeypatch.setattr(miner, "_closure", counted)
+    simplify_ruleset(raw)
+    assert max(Counter(calls).values()) == 1
+    assert len(calls) < len(raw)
+
+
+def test_candidate_subsets_are_ordered_once_per_engine(monkeypatch, capsys):
+    calls = []
+    ordered = miner._ordered_subsets
+
+    def counted(cands):
+        calls.append(cands)
+        return ordered(cands)
+
+    monkeypatch.setattr(miner, "_ordered_subsets", counted)
+    rc = main(["generate", str(DATA / "min.clp"), str(DATA / "min.spec"), "--mode", "all"])
+    assert rc == 0
+    assert "==>" in capsys.readouterr().out
+    assert len(calls) == 1

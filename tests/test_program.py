@@ -109,6 +109,26 @@ def test_user_defined_rhs_in_primitive_mode_is_reported_where_it_is_written():
     assert (err.value.line, err.value.col) == (3, 7)
 
 
+def test_fresh_variable_names_are_rejected_where_written():
+    # _G, _R and _S with digits name the fresh variables of clause renaming,
+    # the CHR runtime and rule simplification; a goal variable so named
+    # would be identified with one of them.
+    for name in ("_G1", "_R23", "_S4"):
+        with pytest.raises(ParseError, match=f"'{name}' is reserved") as err:
+            parse_goal(f"p(X,\n  {name}), {name} = c")
+        assert (err.value.line, err.value.col) == (2, 3)
+    with pytest.raises(ParseError, match="'_G7' is reserved") as err:
+        parse_program("p(X) :- q(X).\nq(_G7).\n")
+    assert (err.value.line, err.value.col) == (2, 3)
+    with pytest.raises(ParseError, match="'_S1' is reserved"):
+        parse_spec("base: p(X)\ncand_lhs: X=_S1\ncand_rhs: cand_lhs\n")
+    # Other names that start the same way stay ordinary variables, and _L1
+    # is one: answer locals are never named like a goal variable.
+    for name in ("_G", "_Gx1", "_G1x", "__G1", "_L1", "_g1", "G1"):
+        (c,) = parse_goal(f"p({name})")
+        assert c.args == (Var(name),)
+
+
 def test_parse_goal_reads_a_long_list():
     items = ",".join(["a"] * 1000)
     (c,) = parse_goal(f"X=[{items}]")
