@@ -64,7 +64,17 @@ class MinerStats:
 
 
 class _Engine:
-    """Shared goal-evaluation plumbing with a verdict cache."""
+    """Shared goal-evaluation plumbing with a verdict cache.
+
+    Each goal set is evaluated at most once per mode (the exists-mode cache
+    only with ``opt3``), and every evaluation counts in ``evaluations``.
+    Tabled evaluations share the engine's answer tables: a goal whose user
+    atoms reach no recursive predicate is decided from one completed
+    all-answers table of those atoms, built by the first evaluation that
+    needs it; a goal whose atoms reach recursion, or whose table hit the
+    depth bound or the answer cap, gets a forest of its own. With tabling
+    off every goal is evaluated classically.
+    """
 
     def __init__(self, program: Program, opts: MinerOptions):
         self.program = program
@@ -73,6 +83,7 @@ class _Engine:
         self._fail_cache: dict[frozenset, object] = {}
         self._answers_cache: dict[frozenset, object] = {}
         self._subsets: dict[tuple, list[frozenset]] = {}
+        self._tables: dict = {}  # see resolution.evaluate
 
     def ordered_subsets(self, cands: tuple[Constraint, ...]) -> list[frozenset]:
         """:func:`_ordered_subsets` of a candidate list, computed once per
@@ -99,6 +110,7 @@ class _Engine:
             mode="exists",
             tabling=self.opts.tabling,
             trace=self.opts.trace,
+            tables=self._tables,
         )
         self.stats.evaluations += 1
         if isinstance(outcome, DepthExceeded):
@@ -120,6 +132,7 @@ class _Engine:
             tabling=self.opts.tabling,
             answer_cap=self.opts.answer_cap,
             trace=self.opts.trace,
+            tables=self._tables,
         )
         self.stats.evaluations += 1
         if isinstance(outcome, DepthExceeded):

@@ -19,6 +19,15 @@ store's union-find and names the locals reached through the entry
 variables' terms canonically, so an answer is its own key. A producer's
 answer is lifted to the next such entry up in the same way.
 
+A caller that keeps answer tables across goals (``evaluate``'s ``tables``,
+one dict per miner engine) has a goal decided from a table instead when
+the goal's user atoms reach no recursive predicate of the program: the
+atoms alone are evaluated once, to completion, and each goal with those
+atoms is answered by conjoining each answer with the goal's primitives and
+projecting the consistent ones onto the goal's variables. Atoms that reach
+recursion, or whose evaluation hit the depth bound or the answer cap,
+still get a forest per goal.
+
 The classical evaluator keeps the resolvent as an ordered literal sequence
 with left-to-right selection: leading primitive constraints are moved into
 the store, then the leftmost atom is replaced in place by a clause body.
@@ -30,6 +39,7 @@ here.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -153,6 +163,8 @@ class Evaluation:
         self.depth_exceeded = False
         self.cap_exceeded = False
         self.goal = goal
+        # Consumed answers' locals are named apart from these.
+        self.goal_vars = frozenset(constraints_vars(goal))
 
     def _log(self, msg: str):
         if self.trace:
@@ -387,7 +399,7 @@ class Evaluation:
     def _consume(self, consumer: _Entry, ans: Answer, sigma: Subst, answer_work: deque):
         # The answer's locals get fresh names; its call variables map onto
         # the consumer's terms.
-        local_ren = renaming_for(constraints_vars(ans) - set(sigma), prefix="_L")
+        local_ren = renaming_for(constraints_vars(ans) - set(sigma), "_L", self.goal_vars)
         mapped = match_subst_constraints({**local_ren, **sigma}, ans)
         store = assert_many(consumer.store, sorted(mapped, key=constraint_key))
         if store is None:
@@ -622,6 +634,131 @@ def _classical_finite(
     return True
 
 
+def _reaches_recursion(program: Program, atoms: frozenset) -> bool:
+    """Whether the atoms reach a predicate on a cycle of the call graph.
+    The predicates they reach are dropped, those that call none of the rest
+    first, for as long as one can be; whatever is left reaches a cycle."""
+    calls: dict[tuple[str, int], set] = {}
+    todo = [(a.functor, len(a.args)) for a in atoms]
+    while todo:
+        p = todo.pop()
+        if p not in calls:
+            calls[p] = {
+                (a.functor, len(a.args))
+                for clause in program.predicates.get(p, ())
+                for a in clause.body_user
+            }
+            todo.extend(calls[p])
+    while calls:
+        sinks = [p for p, callees in calls.items() if calls.keys().isdisjoint(callees)]
+        if not sinks:
+            return True
+        for p in sinks:
+            del calls[p]
+    return False
+
+
+def _table(
+    program: Program,
+    atoms: frozenset,
+    depth: int,
+    answer_cap: int,
+    trace: Optional[Callable[[str], None]],
+    tables: dict,
+) -> Optional[tuple]:
+    """The completed answer table of the user atoms, built on first use:
+    their answers, each with its locals renamed apart from the atoms'
+    variables and sorted by constraint key, and the set of those locals.
+    None when the atoms reach recursion, or when their evaluation hit the
+    depth bound or the answer cap, so that no table can stand in for a
+    forest."""
+    key = (atoms, depth, answer_cap)
+    if key in tables:
+        return tables[key]
+    table = None
+    if _reaches_recursion(program, atoms):
+        if trace:
+            trace(f"table: none for {format_constraints(atoms)}: it reaches recursion")
+    else:
+        out = Evaluation(program, atoms, depth, answer_cap, trace).run("all_answers")
+        if isinstance(out, DepthExceeded):
+            if trace:
+                trace(f"table: none for {format_constraints(atoms)}: bound or cap hit")
+        else:
+            atom_vars = constraints_vars(atoms)
+            answers = tuple(
+                _renamed_apart(a, atom_vars, atom_vars)
+                for a in (out.answers if isinstance(out, Answers) else ())
+            )
+            table = (answers, constraints_vars(itertools.chain(*answers)) - atom_vars)
+            if trace:
+                trace(f"table: {format_constraints(atoms)}: {len(answers)} answers")
+    tables[key] = table
+    return table
+
+
+def _renamed_apart(answer: Answer, kept: set, avoid: set) -> tuple[Constraint, ...]:
+    """The answer with fresh names, none of them in ``avoid``, for its
+    variables outside ``kept``, sorted by constraint key."""
+    ren = renaming_for(constraints_vars(answer) - kept, "_L", avoid)
+    return tuple(sorted(match_subst_constraints(ren, answer), key=constraint_key))
+
+
+def _from_table(
+    program: Program,
+    goal: Goal,
+    depth: int,
+    mode: str,
+    answer_cap: int,
+    trace: Optional[Callable[[str], None]],
+    tables: dict,
+) -> Optional[Outcome]:
+    """The outcome of a goal ``U + P`` (user atoms ``U``, primitives ``P``)
+    read off the table of ``U``: an answer of ``U`` consistent with ``P``,
+    conjoined with it and projected onto the goal's variables, is an answer
+    of the goal, and every answer of the goal is one of these. In mode
+    ``exists`` the first one is the witness. None when ``U`` is empty or
+    has no table, when ``P`` alone is inconsistent, or when the goal has
+    more answers than the cap: a forest decides those goals."""
+    atoms = frozenset(c for c in goal if not c.is_primitive)
+    if not atoms:
+        return None
+    table = _table(program, atoms, depth, answer_cap, trace, tables)
+    if table is None:
+        return None
+    store = store_from(sorted((c for c in goal if c.is_primitive), key=constraint_key))
+    if store is None:
+        return None
+    answers, table_locals = table
+    goal_vars = constraints_vars(goal)
+    if not table_locals.isdisjoint(goal_vars):
+        atom_vars = constraints_vars(atoms)
+        answers = [_renamed_apart(a, atom_vars, goal_vars) for a in answers]
+    # Each answer in turn on one trailed store of the primitives.
+    store.begin_trail()
+    mark = store.mark()
+    found: dict[Answer, None] = {}
+    for a in answers:
+        store.undo(mark)
+        if not assert_all(store, a):
+            continue
+        found[solver.project(store, goal_vars)] = None
+        if mode == "exists":
+            break
+        if len(found) > answer_cap:
+            if trace:
+                trace(f"table: {format_constraints(goal)} has more answers than the cap")
+            return None
+    if trace:
+        trace(
+            f"table: {format_constraints(goal)} decided from the table of"
+            f" {format_constraints(atoms)}: {len(found)} answers"
+        )
+    if not found:
+        return FAILS
+    return Answers(tuple(sorted(found, key=_answer_key)))
+
+
 def evaluate(
     program: Program,
     goal: Goal,
@@ -630,6 +767,8 @@ def evaluate(
     tabling: bool = True,
     answer_cap: int = 512,
     trace: Optional[Callable[[str], None]] = None,
+    *,
+    tables: Optional[dict] = None,
 ) -> Outcome:
     """Evaluate a goal against a program.
 
@@ -638,16 +777,26 @@ def evaluate(
     DEPTH_EXCEEDED when the bound or the answer cap was hit. With
     ``tabling=False`` the classical ordered depth-first scheme is used
     instead of the tabled forest. In mode "all_answers" each answer's locals
-    come back under fresh names, since answers of different goals meet when
-    compared; an "exists" witness is returned as found.
+    come back under fresh names, apart from the goal's, since answers of
+    different goals meet when compared; an "exists" witness is returned as
+    found.
+
+    ``tables`` is the caller's store of answer tables, kept across calls.
+    With it, a tabled evaluation of a goal whose user atoms reach no
+    recursive predicate is read off one completed all-answers table of
+    those atoms (see :func:`_from_table`), built within the first call that
+    needs it; any other goal still gets a forest of its own.
     """
+    out = None
     if not tabling:
         out = _classical(program, goal, depth, mode, answer_cap, trace)
-    else:
+    elif tables is not None:
+        out = _from_table(program, goal, depth, mode, answer_cap, trace, tables)
+    if out is None:
         out = Evaluation(program, goal, depth, answer_cap, trace).run(mode)
     if mode == "exists" or not isinstance(out, Answers):
         return out
     goal_vars = constraints_vars(goal)
-    renamings = [{v: fresh_var("_L") for v in sorted(constraints_vars(a) - goal_vars)}
+    renamings = [renaming_for(constraints_vars(a) - goal_vars, "_L", goal_vars)
                  for a in out.answers]
     return Answers(tuple(map(match_subst_constraints, renamings, out.answers)))

@@ -25,6 +25,13 @@ needing no resolving, since they are built from indexed ones and fresh
 variables. A primitive going into the store makes the index stale, so it is
 rebuilt when the state is next taken up; a splitting copy starts without
 one.
+
+A run stops with StepLimitExceeded, as at the step limit, as soon as a
+state taken up again repeats an earlier take-up of the same state object
+(Brent's cycle detection, see ``_check_repeat``): from there it would loop
+forever. A splitting copy starts a lineage of its own, and a state whose
+store grew in between is never compared, so a loop that asserts a
+primitive again on each round still runs to the limit.
 """
 
 from __future__ import annotations
@@ -46,6 +53,11 @@ class StepLimitExceeded(Exception):
     pass
 
 
+# The repeat check starts at this take-up of a state, a power of two, so
+# that the many short runs pay no more than a count per take-up.
+_FIRST_SAVE = 16
+
+
 @dataclass
 class State:
     """One branch of a CHR-or execution."""
@@ -56,6 +68,10 @@ class State:
     next_id: int
     # None until built, and again once a primitive has gone into the store.
     index: Optional[_Index] = field(default=None, repr=False, compare=False)
+    # The repeat check: how often run has taken this state up, and
+    # (take-up, sizes, key) as saved at the last power-of-two take-up.
+    taken: int = field(default=0, repr=False, compare=False)
+    saved: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def copy(self) -> "State":
         return State(dict(self.user), self.store.copy(), set(self.history), self.next_id)
@@ -269,11 +285,55 @@ def _tuple_of(items: Iterable[str]) -> str:
     return "(" + "".join(f"{s}, " for s in items) + ")"
 
 
+def _check_repeat(state: State, step_limit: int) -> None:
+    """Raise StepLimitExceeded when the state repeats one it was in at an
+    earlier take-up, by Brent's method: the saved take-up moves to each
+    power of two from ``_FIRST_SAVE`` on, and every take-up since is
+    compared with it.
+
+    A state is taken up again only after a rule with one body fired on it
+    in place. Two take-ups with the same store constraint count have the
+    same store, since a store only grows, and the same user constraints in
+    id order and the same history on live ids, up to the order-preserving
+    renaming of ids by rank, have the same future under that renaming: the
+    run is deterministic there and hands out new ids above every live one.
+    So the state repeats forever, and the run would exceed any step limit.
+    Sizes are compared first, so a state that grew is never keyed again.
+    """
+    taken = state.taken
+    sizes = (len(state.store.constraints), len(state.user), len(state.history))
+    saved = state.saved
+    key = None
+    if saved is not None and saved[1] == sizes:
+        key = _repeat_key(state)
+        if key == saved[2]:
+            raise StepLimitExceeded(
+                f"the state at take-up {taken} repeats the one at take-up {saved[0]},"
+                f" so the run would exceed {step_limit} rule-match steps"
+            )
+    if taken & (taken - 1) == 0:
+        state.saved = (taken, sizes, key or _repeat_key(state))
+
+
+def _repeat_key(state: State) -> tuple:
+    """The user constraints in id order, and the history entries on live
+    ids, each id replaced by its rank among the live ones."""
+    rank = {cid: i for i, cid in enumerate(state.user)}
+    history = frozenset(
+        (idx, tuple(rank[cid] for cid in ids))
+        for idx, ids in state.history
+        if all(cid in rank for cid in ids)
+    )
+    return tuple(state.user.values()), history
+
+
 def run(
     chr_rules: list[ChrRule], goal: Iterable[Constraint], step_limit: int = 10_000
 ) -> list[State]:
     """Run the encoded rules on a goal to fixpoint; returns the consistent
-    leaf states (empty when every branch failed)."""
+    leaf states (empty when every branch failed). Raises StepLimitExceeded
+    after ``step_limit`` rule-match steps, or as soon as a state taken up
+    again repeats an earlier one (see :func:`_check_repeat`)."""
     goal = sorted(goal, key=constraint_key)
     store = store_from([c for c in goal if c.is_primitive])
     if store is None:
@@ -284,6 +344,9 @@ def run(
     steps = 0
     while pending:
         state = pending.pop()
+        state.taken += 1
+        if state.taken >= _FIRST_SAVE:
+            _check_repeat(state, step_limit)
         if state.index is None:
             state.index = _index(state)
         for idx, rule in enumerate(chr_rules):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -390,8 +390,18 @@ def fresh_var(prefix: str = "_G") -> Var:
     return _make_var(Var, (f"{prefix}{next(_counter)}",))
 
 
-def renaming_for(vars_: Iterable[Var], prefix: str = "_G") -> Subst:
-    return {v: fresh_var(prefix) for v in sorted(set(vars_), key=lambda v: v.id)}
+def renaming_for(
+    vars_: Iterable[Var], prefix: str = "_G", avoid: AbstractSet[Var] = frozenset()
+) -> Subst:
+    """Fresh variables for ``vars_``, taken in name order, none of them in
+    ``avoid``: a goal may name its own variables like fresh ones."""
+    ren = {}
+    for v in sorted(set(vars_), key=lambda v: v.id):
+        w = fresh_var(prefix)
+        while w in avoid:
+            w = fresh_var(prefix)
+        ren[v] = w
+    return ren
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """End-to-end command line runs, driven through cli.main directly."""
 
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -247,14 +249,37 @@ def test_deep_input_ends_as_depth_exceeded(tmp_path, capsys):
 
 
 def test_step_limit_exits_with_limit_code(tmp_path, capsys):
-    rules = tmp_path / "swap.rules"
-    rules.write_text("min(X,Y,Z) <=> min(Y,X,Z).\n")
+    # A swap repeats its state, and stops there; a rule that asserts a
+    # primitive again on each firing grows the store, and runs to the limit.
     goals = tmp_path / "swap.goals"
     goals.write_text("min(A,B,C)\n")
-    rc = main(["validate", str(rules), "--program", str(DATA / "min.clp"),
-               "--constants", "0,1", "--goals", str(goals), "--step-limit", "100"])
+    for body, message in (
+        ("min(Y,X,Z)", "the state at take-up 18 repeats the one at take-up 16,"
+                       " so the run would exceed 100 rule-match steps"),
+        ("Z#=<X, min(Y,X,Z)", "exceeded 100 rule-match steps"),
+    ):
+        rules = tmp_path / "swap.rules"
+        rules.write_text(f"min(X,Y,Z) <=> {body}.\n")
+        rc = main(["validate", str(rules), "--program", str(DATA / "min.clp"),
+                   "--constants", "0,1", "--goals", str(goals), "--step-limit", "100"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"limit exceeded: {message}\n"
+
+
+@pytest.mark.parametrize("name, functor", [("xor", "xor"), ("min_sym", "min")])
+def test_swapping_solvers_exit_with_limit_code_at_the_repeat(name, functor, tmp_path, capsys):
+    goals = tmp_path / "ground.goals"
+    goals.write_text("".join(
+        f"{functor}({','.join(args)})\n" for args in itertools.product("01", repeat=3)
+    ))
+    rc = main(["validate", str(DATA / "chr" / f"{name}.rules"), "--program",
+               str(DATA / "bool.clp"), "--goals", str(goals)])
     assert rc == 2
-    assert "limit exceeded: exceeded 100 rule-match steps" in capsys.readouterr().err
+    assert re.fullmatch(
+        r"limit exceeded: the state at take-up 1[78] repeats the one at take-up 16,"
+        r" so the run would exceed 10000 rule-match steps\n",
+        capsys.readouterr().err,
+    )
 
 
 def test_dnf_cap_leaves_a_general_rule_unmined(capsys):

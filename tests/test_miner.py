@@ -2,8 +2,10 @@
 general rules with user-defined right hand sides, redundancy
 simplification, and the three optimization switches."""
 
+import importlib.util
 import itertools
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +20,11 @@ from chrgen.miner import (
     simplify_ruleset,
 )
 from chrgen.program import parse_goal, parse_program, parse_spec
+from chrgen.resolution import Answers, DepthExceeded, Evaluation, _from_table
 from chrgen.rules import KINDS, Rule, RuleSet, format_rule, parse_rules
 from chrgen.solver import entails, negate, satisfiable, store_from
 from chrgen.terms import canonical_key
+from chrgen.transform import to_simplification
 
 from conftest import DATA
 from util import canonical_keys, rule_lines
@@ -454,3 +458,103 @@ def test_candidate_subsets_are_ordered_once_per_engine(monkeypatch, capsys):
     assert rc == 0
     assert "==>" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Answer tables against fresh forests, and tabled against classical verdicts
+# ---------------------------------------------------------------------------
+
+
+def _load_bool_family():
+    """The benchmark's generator of fact-table programs (it imports no
+    chrgen)."""
+    path = Path(__file__).parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.bool_family
+
+
+def _evaluated(monkeypatch, program, steps, transform=False):
+    """(goal, keyword arguments, outcome) of every evaluation the miners
+    make while mining the steps on one engine, and with ``transform`` also
+    of those that transforming the simplified rules makes."""
+    calls = []
+    evaluate = miner.evaluate
+
+    def recorded(program, goal, **kwargs):
+        out = evaluate(program, goal, **kwargs)
+        calls.append((goal, kwargs, out))
+        return out
+
+    monkeypatch.setattr(miner, "evaluate", recorded)
+    rs = _mine(monkeypatch, program, steps)
+    if transform:
+        to_simplification(simplify_ruleset(rs), None, program)
+    monkeypatch.setattr(miner, "evaluate", evaluate)
+    return calls
+
+
+def _non_recursive_runs():
+    """Every non-recursive spec in tests/data, in mode all, and the 40
+    fact-table programs of the benchmark's bool-family workload."""
+    min_program = parse_program((DATA / "min.clp").read_text())
+    bool_program = parse_program((DATA / "bool.clp").read_text())
+    runs = [(min_program, _all_modes(parse_spec((DATA / "min.spec").read_text())))]
+    for name in ("and_min", "and_split", "bool_full", "min_split", "min_sym", "xor"):
+        runs.append((bool_program, _all_modes(parse_spec((DATA / f"{name}.spec").read_text()))))
+    for item in _load_bool_family()(0, 40):
+        prim = parse_spec(item["prim.spec"], mode="primitive")
+        runs.append((parse_program(item["clp"]), [
+            ("primitive", prim), ("splitting", prim), ("general", parse_spec(item["gen.spec"]))
+        ]))
+    return runs
+
+
+def test_tables_decide_as_fresh_forests(monkeypatch):
+    # Every goal with user atoms that mining and the transform evaluate is
+    # decided from a table, with the verdict type of a forest of its own,
+    # and in all-answers mode the same answers, byte for byte, before
+    # evaluate renames their locals.
+    decided = 0
+    for program, steps in _non_recursive_runs():
+        tables = {}
+        for goal, kw, _ in _evaluated(monkeypatch, program, steps, transform=True):
+            depth, mode, cap = kw["depth"], kw["mode"], kw.get("answer_cap", 512)
+            forest = Evaluation(program, goal, depth, cap).run(mode)
+            table = _from_table(program, goal, depth, mode, cap, None, tables)
+            if table is None:
+                assert all(c.is_primitive for c in goal) or store_from(
+                    [c for c in goal if c.is_primitive]
+                ) is None, goal
+                continue
+            decided += 1
+            assert type(table) is type(forest), goal
+            if mode == "all_answers":
+                assert table == forest, goal
+    assert decided > 10_000
+
+
+def test_tabled_verdicts_agree_with_classical_ones(monkeypatch):
+    # Wherever classical evaluation decides a goal that the miners evaluate,
+    # the tabled verdict, now mostly read off answer tables, is the same,
+    # with as many answers in all-answers mode.
+    min_program = parse_program((DATA / "min.clp").read_text())
+    bool_program = parse_program((DATA / "bool.clp").read_text())
+    runs = [(min_program, "min")] + [
+        (bool_program, name)
+        for name in ("and_min", "and_split", "bool_full", "min_split", "min_sym", "xor")
+    ]
+    decided = 0
+    for program, name in runs:
+        spec = parse_spec((DATA / f"{name}.spec").read_text())
+        for steps in (_all_modes(spec), [("general", spec)]):
+            for goal, kw, tabled in _evaluated(monkeypatch, program, steps):
+                classical = miner.evaluate(program, goal, **{**kw, "tabling": False})
+                if isinstance(classical, DepthExceeded):
+                    continue
+                decided += 1
+                assert type(tabled) is type(classical), (name, goal)
+                if isinstance(classical, Answers) and kw["mode"] == "all_answers":
+                    assert len(tabled.answers) == len(classical.answers), (name, goal)
+    assert decided > 1000

@@ -20,12 +20,14 @@ from hypothesis import strategies as st
 
 import chrgen
 from chrgen import miner, oracle, solver, terms, transform
-from chrgen.program import parse_goal, parse_program, parse_spec
+from chrgen.program import format_constraints, parse_goal, parse_program, parse_spec
 from chrgen.resolution import (
+    FAILS,
     Answers,
     DepthExceeded,
     Evaluation,
     Fails,
+    _reaches_recursion,
     evaluate,
 )
 from chrgen.rules import parse_rules
@@ -270,7 +272,9 @@ def test_answers_group_as_the_reference_keys_on_recorded_answers():
     # Within each entry, the canonical answers must identify exactly the
     # answers that the reference keys identify: the answer cap counts
     # distinct answers, so a coarser or a finer key would move verdicts.
-    for run, n in ((_transform_append, 141), (_mine_bool_general, 434)):
+    # The bool programs are fact tables, so general mining builds one forest
+    # per answer table (64 answers), not one per goal (434 answers).
+    for run, n in ((_transform_append, 141), (_mine_bool_general, 64)):
         records = _recorded_answers(run)
         assert len(records) == n
         answers = [(id(e), project(s, keep)) for e, s, keep in records]
@@ -297,6 +301,35 @@ def test_stores_that_differ_only_in_their_locals_project_to_equal_answers():
         prim("eq", X, cons(L1, L2)), prim("eq", Y, cons(L2, L3)),
         prim("neq", L1, L3), prim("le", L3, Z),
     }
+
+
+def test_answer_locals_are_named_apart_from_the_goal(monkeypatch):
+    # The clause takes _G1 to _G3, so the all-answers renaming's first
+    # local would be _L4, the goal's own second variable: the answer would
+    # read X = f(_L4). With or without answer tables, the local gets
+    # another name.
+    program = parse_program("p(X, Y) :- X = f(A).")
+    for tables in (None, {}):
+        monkeypatch.setattr(terms, "_counter", itertools.count(1))
+        out = evaluate(program, parse_goal("p(X, _L4)"), mode="all_answers", tables=tables)
+        ((eq,),) = out.answers
+        assert eq.functor == "eq" and eq.args[0] == Var("X")
+        (local,) = eq.args[1].args
+        assert eq.args[1].functor == "f" and local not in (Var("X"), Var("_L4"))
+
+
+def test_consumed_answer_locals_are_named_apart_from_the_goal(monkeypatch):
+    # r(Y, X) consumes the answer X=f(_L1) of r(X, Y); with fresh names
+    # counted from 1 its local is renamed _L6 or _L7 on the way, which a
+    # goal may name its own second variable. The answers must not move.
+    program = parse_program("r(X, Y) :- X = f(A).\nr(X, Y) :- r(Y, X).")
+    for name in ("Y", "_L6", "_L7"):
+        monkeypatch.setattr(terms, "_counter", itertools.count(1))
+        out = Evaluation(program, parse_goal(f"r(X, {name})")).run("all_answers")
+        ren = {Var(name): Var("Y")}
+        assert sorted(format_constraints(match_subst_constraints(ren, a)) for a in out.answers) == [
+            "X=f(_L1)", "Y=f(_L1)"
+        ], name
 
 
 def test_locals_are_not_named_like_a_kept_variable():
@@ -514,6 +547,81 @@ def _bindings(combo):
 # ---------------------------------------------------------------------------
 # Trace output
 # ---------------------------------------------------------------------------
+
+
+# ---------------------------------------------------------------------------
+# Answer tables
+# ---------------------------------------------------------------------------
+
+
+def test_goals_are_decided_from_one_table_per_set_of_user_atoms(bool_program):
+    tables, lines = {}, []
+    goals = ["and(X,Y,Z)", "and(X,Y,Z), Z=1", "and(X,Y,Z), X=0, Z=1",
+             "and(X,Y,Z), Z=W", "and(X,Y,Z), neg(X,W)"]
+    for text in goals:
+        for mode in ("exists", "all_answers"):
+            got = evaluate(bool_program, parse_goal(text), mode=mode, answer_cap=64,
+                           tables=tables, trace=lines.append)
+            want = evaluate(bool_program, parse_goal(text), mode=mode, answer_cap=64)
+            assert type(got) is type(want), (text, mode)
+            if mode == "all_answers" and isinstance(want, Answers):
+                assert len(got.answers) == len(want.answers), text
+    # One table per set of user atoms, and every goal decided from one.
+    assert [line for line in lines if line.startswith("table: ") and "decided" not in line] == [
+        "table: and(X,Y,Z): 4 answers",
+        "table: and(X,Y,Z), neg(X,W): 4 answers",
+    ]
+    assert sum("decided from the table" in line for line in lines) == 2 * len(goals)
+    assert sorted(tables) == sorted(
+        (frozenset(parse_goal(t)), 200, 64) for t in ("and(X,Y,Z)", "and(X,Y,Z), neg(X,W)")
+    )
+
+
+def test_a_table_answers_as_a_fresh_forest_does(bool_program):
+    # The answers of an all-answers goal, and the failure of an exists-mode
+    # goal, read off the table of and(X,Y,Z).
+    tables = {}
+    goal = parse_goal("and(X,Y,Z), Z=0, Y\\=1")
+    out = evaluate(bool_program, goal, mode="all_answers", tables=tables)
+    assert out == Evaluation(bool_program, goal).run("all_answers")
+    assert {frozenset(map(str, a)) for a in out.answers} == {
+        frozenset({"X=0", "Y=0", "Z=0"}),
+        frozenset({"X=1", "Y=0", "Z=0"}),
+    }
+    assert evaluate(bool_program, parse_goal("and(X,Y,Z), Z=1, X=0"), tables=tables) is FAILS
+
+
+def test_recursive_goals_get_a_forest_of_their_own(append_program):
+    tables, lines = {}, []
+    goal = parse_goal("append(X,Y,Z), Y=[], X\\=Z")
+    assert isinstance(evaluate(append_program, goal, tables=tables, trace=lines.append), Fails)
+    assert lines[0] == "table: none for append(X,Y,Z): it reaches recursion"
+    assert "suspend" in "\n".join(lines)
+    assert tables == {(frozenset(parse_goal("append(X,Y,Z)")), 200, 512): None}
+
+
+def test_recursion_is_found_through_any_call_chain():
+    program = parse_program("""
+        a(X) :- b(X), c(X).
+        b(X) :- X = 0.
+        c(X) :- d(X).
+        d(X) :- e(X).
+        e(X) :- c(X).
+        f(X) :- b(X).
+    """)
+    assert _reaches_recursion(program, parse_goal("a(X)"))
+    assert _reaches_recursion(program, parse_goal("f(X), e(Y)"))
+    assert not _reaches_recursion(program, parse_goal("f(X), b(Y)"))
+
+
+def test_a_table_cut_by_the_answer_cap_decides_nothing(bool_program):
+    # and(X,Y,Z) has 4 answers: a cap of 3 leaves the table out, and the
+    # forest of the goal reports the cap.
+    tables = {}
+    goal = parse_goal("and(X,Y,Z)")
+    out = evaluate(bool_program, goal, mode="all_answers", answer_cap=3, tables=tables)
+    assert isinstance(out, DepthExceeded)
+    assert tables == {(frozenset(goal), 200, 3): None}
 
 
 def test_trace_reports_subsumption(append_program):

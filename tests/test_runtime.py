@@ -3,6 +3,7 @@ simplification versus propagation firing, and splitting branches; and the
 compiled rules against the interpreter they replaced."""
 
 import itertools
+import re
 from pathlib import Path
 
 import pytest
@@ -281,11 +282,21 @@ def _outcome(run, rules, goal, step_limit, monkeypatch):
 
 
 def _assert_matches_reference(rules, goals, monkeypatch, step_limits=STEP_LIMITS):
+    """The same outcome as the reference at each step limit; where the
+    runtime stops a run at a repeated state, the reference must run into
+    the step limit instead. Returns how often the repeat check fired."""
+    repeats = 0
     for text in goals:
         goal = parse_goal(text)
         for limit in step_limits:
             got = _outcome(runtime.run, rules, goal, limit, monkeypatch)
-            assert got == _outcome(_ref_run, rules, goal, limit, monkeypatch), (text, limit)
+            want = _outcome(_ref_run, rules, goal, limit, monkeypatch)
+            if isinstance(got, str) and " repeats " in got:
+                repeats += 1
+                assert want == f"exceeded {limit} rule-match steps", (text, limit)
+            else:
+                assert got == want, (text, limit)
+    return repeats
 
 
 def _ground_prefix_goals(functor, values):
@@ -317,7 +328,43 @@ def test_compiled_bool_solvers_match_reference(name, monkeypatch):
     functors = sorted({h.functor for r in rules for h in r.heads})
     goals = [g for f in functors for g in _ground_prefix_goals(f, ("0", "1"))]
     goals += [f"{f}(X,Y,Z), {f}(Y,X,Z), Z=1" for f in functors]
-    _assert_matches_reference(rules, goals, monkeypatch)
+    repeats = _assert_matches_reference(rules, goals, monkeypatch)
+    assert (repeats > 0) == (name in ("min_sym", "xor"))
+
+
+@pytest.mark.parametrize("name, functor", [("xor", "xor"), ("min_sym", "min")])
+def test_swapping_solvers_stop_at_the_first_repeat(name, functor):
+    # Both solvers begin with an unconditional argument swap, so every
+    # ground goal cycles through at most two states: the run stops two
+    # take-ups after the check starts, not at the step limit.
+    rules = _rules((DATA / "chr" / f"{name}.rules").read_text())
+    for args in itertools.product("01", repeat=3):
+        with pytest.raises(runtime.StepLimitExceeded) as exc:
+            runtime.run(rules, parse_goal(f"{functor}({','.join(args)})"))
+        message = str(exc.value)
+        assert re.fullmatch(
+            r"the state at take-up 1[78] repeats the one at take-up 16,"
+            r" so the run would exceed 10000 rule-match steps",
+            message,
+        ), message
+
+
+def test_a_long_run_through_new_states_is_not_stopped(monkeypatch):
+    # Every take-up has the same sizes, one user constraint and an empty
+    # history and store, but a different user constraint: no repeat.
+    rules = _rules("c(s(X)) <=> c(X).")
+    text = f"c({'s(' * 40}0{')' * 40})"
+    assert _assert_matches_reference(rules, [text], monkeypatch) == 0
+    (leaf,) = runtime.run(rules, parse_goal(text))
+    assert list(leaf.user.values()) == list(parse_goal("c(0)"))
+
+
+def test_a_state_whose_store_grows_runs_to_the_limit():
+    # Each firing asserts an entailed primitive again, so the store grows
+    # and the state is never compared: the run ends at the step limit.
+    rules = _rules("p(X) <=> X=0, p(X).")
+    with pytest.raises(runtime.StepLimitExceeded, match=r"^exceeded 1000 rule-match steps$"):
+        runtime.run(rules, parse_goal("p(A)"), step_limit=1000)
 
 
 def test_compiled_append_solver_matches_reference(monkeypatch):
