@@ -10,6 +10,7 @@ from pathlib import Path
 from . import emit as emit_mod
 from . import miner, oracle, runtime, transform
 from .program import ParseError, format_constraint, parse_goal, parse_program, parse_spec
+from .resolution import ANSWER_CAP
 from .rules import RuleSet, format_ruleset, parse_rules, ruleset_to_json
 
 
@@ -163,7 +164,7 @@ def _add_miner_flags(p: argparse.ArgumentParser):
     p.add_argument("--opt3", action=argparse.BooleanOptionalAction, default=True,
                    help="reuse failed goal evaluations")
     p.add_argument("--dnf-cap", type=int, default=10_000)
-    p.add_argument("--answers-cap", type=int, default=64)
+    p.add_argument("--answers-cap", type=int, default=ANSWER_CAP)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,13 +17,13 @@ from typing import Iterable, Optional
 from .program import format_term
 from .rules import Rule, RuleSet
 from .terms import (
-    Compound,
     Const,
     Constraint,
-    Term,
     Var,
     constraint_key,
     constraints_vars,
+    key_text,
+    subst_constraint,
     unify,
 )
 
@@ -97,17 +97,8 @@ def _inline_equalities(
         sigma = unify(eq.args[0], eq.args[1])
         if sigma is None:
             return None
-        lhs = [Constraint(c.functor, tuple(_apply(sigma, a) for a in c.args)) for c in lhs]
-        rhs = [Constraint(c.functor, tuple(_apply(sigma, a) for a in c.args)) for c in rhs]
-
-
-def _apply(sigma, t: Term) -> Term:
-    if isinstance(t, Var):
-        out = sigma.get(t, t)
-        return _apply(sigma, out) if out is not t and isinstance(out, (Var, Compound)) else out
-    if isinstance(t, Compound):
-        return Compound(t.functor, tuple(_apply(sigma, a) for a in t.args))
-    return t
+        lhs = [subst_constraint(sigma, c) for c in lhs]
+        rhs = [subst_constraint(sigma, c) for c in rhs]
 
 
 def _trivially_true(c: Constraint) -> bool:
@@ -207,7 +198,7 @@ def emit(
     dropped: list[str] = []
     if header:
         digest = hashlib.sha256(
-            "\n".join(sorted(str(r.canonical_key()) for r in rs.rules)).encode()
+            "\n".join(sorted(key_text(r.canonical_key()) for r in rs.rules)).encode()
         ).hexdigest()[:16]
         lines.append(f"% generated by chrgen {version}; ruleset {digest}")
     for rule in rs.rules:

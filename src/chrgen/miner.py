@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 
 from . import solver
 from .program import CandidateSpec, Program, format_constraints
-from .resolution import FAILS, Answers, DepthExceeded, Fails, evaluate
+from .resolution import ANSWER_CAP, FAILS, Answers, DepthExceeded, Fails, evaluate
 from .rules import KINDS, Rule, RuleSet
 from .solver import BlowupExceeded, dnf_satisfiable, negate, store_from
 from .terms import (
@@ -46,7 +46,7 @@ class MinerOptions:
     opt2: bool = True  # skip lhs supersets of C1+{d} once C1 ==> d exists
     opt3: bool = True  # reuse failed goal evaluations (contrapositive rules)
     dnf_cap: int = 10_000
-    answer_cap: int = 64
+    answer_cap: int = ANSWER_CAP
     trace: Optional[object] = None
 
 
@@ -68,12 +68,9 @@ class _Engine:
 
     Each goal set is evaluated at most once per mode (the exists-mode cache
     only with ``opt3``), and every evaluation counts in ``evaluations``.
-    Tabled evaluations share the engine's answer tables: a goal whose user
-    atoms reach no recursive predicate is decided from one completed
-    all-answers table of those atoms, built by the first evaluation that
-    needs it; a goal whose atoms reach recursion, or whose table hit the
-    depth bound or the answer cap, gets a forest of its own. With tabling
-    off every goal is evaluated classically.
+    Tabled evaluations in both modes share the engine's answer tables,
+    keyed by its one answer cap (see :func:`resolution.evaluate`). With
+    tabling off every goal is evaluated classically.
     """
 
     def __init__(self, program: Program, opts: MinerOptions):
@@ -93,42 +90,12 @@ class _Engine:
             subsets = self._subsets[cands] = _ordered_subsets(cands)
         return subsets
 
-    def goal_fails(self, constraints: frozenset):
-        """Outcome of an exists-mode evaluation, cached per goal set."""
-        if constraints in self._fail_cache:
-            self.stats.skipped_opt3 += 1
-            return self._fail_cache[constraints]
-        if store_from([c for c in constraints if c.is_primitive]) is None:
-            # The primitive part alone is unsatisfiable; no resolution needed.
-            if self.opts.opt3:
-                self._fail_cache[constraints] = FAILS
-            return FAILS
+    def _evaluate(self, constraints: frozenset, mode: str):
         outcome = evaluate(
             self.program,
             constraints,
             depth=self.opts.depth,
-            mode="exists",
-            tabling=self.opts.tabling,
-            trace=self.opts.trace,
-            tables=self._tables,
-        )
-        self.stats.evaluations += 1
-        if isinstance(outcome, DepthExceeded):
-            self.stats.depth_exceeded += 1
-        if self.opts.opt3:
-            self._fail_cache[constraints] = outcome
-        return outcome
-
-    def goal_answers(self, constraints: frozenset):
-        """Outcome of an all-answers evaluation, cached per goal set."""
-        outcome = self._answers_cache.get(constraints)
-        if outcome is not None:
-            return outcome
-        outcome = evaluate(
-            self.program,
-            constraints,
-            depth=self.opts.depth,
-            mode="all_answers",
+            mode=mode,
             tabling=self.opts.tabling,
             answer_cap=self.opts.answer_cap,
             trace=self.opts.trace,
@@ -137,8 +104,27 @@ class _Engine:
         self.stats.evaluations += 1
         if isinstance(outcome, DepthExceeded):
             self.stats.depth_exceeded += 1
-        self._answers_cache[constraints] = outcome
         return outcome
+
+    def goal_fails(self, constraints: frozenset):
+        """Outcome of an exists-mode evaluation, cached per goal set."""
+        if constraints in self._fail_cache:
+            self.stats.skipped_opt3 += 1
+            return self._fail_cache[constraints]
+        if store_from([c for c in constraints if c.is_primitive]) is None:
+            # The primitive part alone is unsatisfiable; no resolution needed.
+            outcome = FAILS
+        else:
+            outcome = self._evaluate(constraints, "exists")
+        if self.opts.opt3:
+            self._fail_cache[constraints] = outcome
+        return outcome
+
+    def goal_answers(self, constraints: frozenset):
+        """Outcome of an all-answers evaluation, cached per goal set."""
+        if constraints not in self._answers_cache:
+            self._answers_cache[constraints] = self._evaluate(constraints, "all_answers")
+        return self._answers_cache[constraints]
 
     def answers_imply(self, lhs: frozenset, rhs: frozenset) -> bool:
         """Validity of lhs ==> rhs, with rhs one jointly quantified set, by

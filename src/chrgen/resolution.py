@@ -19,14 +19,11 @@ store's union-find and names the locals reached through the entry
 variables' terms canonically, so an answer is its own key. A producer's
 answer is lifted to the next such entry up in the same way.
 
-A caller that keeps answer tables across goals (``evaluate``'s ``tables``,
-one dict per miner engine) has a goal decided from a table instead when
-the goal's user atoms reach no recursive predicate of the program: the
-atoms alone are evaluated once, to completion, and each goal with those
-atoms is answered by conjoining each answer with the goal's primitives and
-projecting the consistent ones onto the goal's variables. Atoms that reach
-recursion, or whose evaluation hit the depth bound or the answer cap,
-still get a forest per goal.
+A caller that keeps answer tables (``evaluate``'s ``tables``) has a goal
+decided from the table of its user atoms, evaluated alone once, to
+completion: each answer consistent with the goal's primitives is conjoined
+with them and projected onto the goal's variables. Only atoms that reach
+recursion, or whose table was cut, get a forest per goal.
 
 The classical evaluator keeps the resolvent as an ordered literal sequence
 with left-to-right selection: leading primitive constraints are moved into
@@ -65,6 +62,8 @@ from .terms import (
 )
 
 Answer = frozenset  # of primitive Constraint
+
+ANSWER_CAP = 64  # distinct answers per call before an evaluation is cut
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,7 @@ class Evaluation:
         program: Program,
         goal: Goal,
         depth: int = 200,
-        answer_cap: int = 512,
+        answer_cap: int = ANSWER_CAP,
         trace: Optional[Callable[[str], None]] = None,
     ):
         self.program = program
@@ -692,7 +691,7 @@ def _table(
             )
             table = (answers, constraints_vars(itertools.chain(*answers)) - atom_vars)
             if trace:
-                trace(f"table: {format_constraints(atoms)}: {len(answers)} answers")
+                trace(f"table: {format_constraints(atoms) or 'true'}: {len(answers)} answers")
     tables[key] = table
     return table
 
@@ -717,24 +716,25 @@ def _from_table(
     read off the table of ``U``: an answer of ``U`` consistent with ``P``,
     conjoined with it and projected onto the goal's variables, is an answer
     of the goal, and every answer of the goal is one of these. In mode
-    ``exists`` the first one is the witness. None when ``U`` is empty or
-    has no table, when ``P`` alone is inconsistent, or when the goal has
-    more answers than the cap: a forest decides those goals."""
+    ``exists`` the first one is the witness. The table of no atoms holds
+    one empty answer. None, for a forest to decide the goal, only when
+    ``U`` has no table."""
     atoms = frozenset(c for c in goal if not c.is_primitive)
-    if not atoms:
-        return None
     table = _table(program, atoms, depth, answer_cap, trace, tables)
     if table is None:
         return None
     store = store_from(sorted((c for c in goal if c.is_primitive), key=constraint_key))
     if store is None:
-        return None
+        if trace:
+            trace(f"table: {format_constraints(goal)} fails: its primitives are inconsistent")
+        return FAILS
     answers, table_locals = table
     goal_vars = constraints_vars(goal)
     if not table_locals.isdisjoint(goal_vars):
         atom_vars = constraints_vars(atoms)
         answers = [_renamed_apart(a, atom_vars, goal_vars) for a in answers]
-    # Each answer in turn on one trailed store of the primitives.
+    # Each answer in turn on one trailed store of the primitives. The table
+    # holds at most ``answer_cap`` answers, so the goal does too.
     store.begin_trail()
     mark = store.mark()
     found: dict[Answer, None] = {}
@@ -745,18 +745,12 @@ def _from_table(
         found[solver.project(store, goal_vars)] = None
         if mode == "exists":
             break
-        if len(found) > answer_cap:
-            if trace:
-                trace(f"table: {format_constraints(goal)} has more answers than the cap")
-            return None
     if trace:
         trace(
             f"table: {format_constraints(goal)} decided from the table of"
-            f" {format_constraints(atoms)}: {len(found)} answers"
+            f" {format_constraints(atoms) or 'true'}: {len(found)} answers"
         )
-    if not found:
-        return FAILS
-    return Answers(tuple(sorted(found, key=_answer_key)))
+    return Answers(tuple(sorted(found, key=_answer_key))) if found else FAILS
 
 
 def evaluate(
@@ -765,7 +759,7 @@ def evaluate(
     depth: int = 200,
     mode: str = "exists",
     tabling: bool = True,
-    answer_cap: int = 512,
+    answer_cap: int = ANSWER_CAP,
     trace: Optional[Callable[[str], None]] = None,
     *,
     tables: Optional[dict] = None,
@@ -782,10 +776,10 @@ def evaluate(
     found.
 
     ``tables`` is the caller's store of answer tables, kept across calls.
-    With it, a tabled evaluation of a goal whose user atoms reach no
-    recursive predicate is read off one completed all-answers table of
-    those atoms (see :func:`_from_table`), built within the first call that
-    needs it; any other goal still gets a forest of its own.
+    With it, a tabled evaluation is read off the completed all-answers
+    table of the goal's user atoms (see :func:`_from_table`), built within
+    the first call that needs it; a goal gets a forest of its own only
+    when its atoms reach recursion or their table was cut.
     """
     out = None
     if not tabling:

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from .program import _Parser, format_constraint
-from .terms import Constraint, canonical_key, constraint_key
+from .terms import Constraint, canonical_key, constraint_key, key_text
 
 KINDS = ("failure", "propagation", "splitting", "simplification")
 
@@ -47,18 +47,27 @@ class Rule:
         return key
 
 
+class _Key(tuple):
+    """A rule key as a set member: hashed as the tuple but compared by its
+    text, so that variant rules over a deep term compare without recursion."""
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return key_text(self) == key_text(other)
+
+
 @dataclass
 class RuleSet:
     rules: list[Rule] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
-    _keys: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._keys = {r.canonical_key() for r in self.rules}
+        self._keys = {_Key(r.canonical_key()) for r in self.rules}
 
     def add(self, rule: Rule) -> bool:
         """Append unless a variant rule is already present."""
-        key = rule.canonical_key()
+        key = _Key(rule.canonical_key())
         if key in self._keys:
             return False
         self._keys.add(key)

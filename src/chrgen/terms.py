@@ -232,10 +232,6 @@ def prim(rel: str, left: Term, right: Term) -> Constraint:
     return Constraint(rel, (left, right))
 
 
-def atom(functor: str, *args: Term) -> Constraint:
-    return Constraint(functor, tuple(args))
-
-
 def constraint_vars(c: Constraint) -> set[Var]:
     out: set[Var] = set()
     for a in c.args:
@@ -466,6 +462,27 @@ def canonical_key(cs: Iterable[Constraint]) -> tuple:
         renamed.sort()
         keys = renamed
     return tuple(keys)
+
+
+def key_text(key: tuple) -> str:
+    """``str(key)`` of a nested key tuple, built iteratively, so that a long
+    list spine stays within the recursion limit: one frame per open tuple."""
+    parts = ["("]
+    stack = [(iter(key), len(key))]
+    while stack:
+        items, n = stack[-1]
+        for item in items:
+            if parts[-1] != "(":
+                parts.append(", ")
+            if item.__class__ is tuple:
+                parts.append("(")
+                stack.append((iter(item), len(item)))
+                break
+            parts.append(repr(item))
+        else:
+            stack.pop()
+            parts.append(",)" if n == 1 else ")")
+    return "".join(parts)
 
 
 def _renumbered(key: tuple, names: dict[str, tuple]) -> tuple:

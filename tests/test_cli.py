@@ -248,6 +248,20 @@ def test_deep_input_ends_as_depth_exceeded(tmp_path, capsys):
     assert "limit exceeded" not in captured.err
 
 
+def test_deep_rule_emits(tmp_path, capsys):
+    # Inlining the equality and keying the rule for the header digest both
+    # walk the 1200-element list without recursion.
+    rules = tmp_path / "deep.rules"
+    items = ",".join(["a"] * 1200)
+    rules.write_text(f"p(X), X=[{items}] ==> q(X).\n")
+    rc = main(["emit", str(rules)])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    header, line = captured.out.splitlines()
+    assert header.startswith("% generated by chrgen") and "ruleset" in header
+    assert line == f"p([{items}]) ==> q([{items}])."
+
+
 def test_step_limit_exits_with_limit_code(tmp_path, capsys):
     # A swap repeats its state, and stops there; a rule that asserts a
     # primitive again on each firing grows the store, and runs to the limit.

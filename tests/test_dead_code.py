@@ -1,8 +1,11 @@
 """Every top-level function and class of the package is used by the package
 itself, or is one of the few entry points that only outside callers use.
 
-A name counts as used when it appears as a name or an attribute anywhere in
-the package outside its own definition; import statements do not count.
+A name counts as used when it is read as a name, or appears as an
+attribute, anywhere in the package outside its own definition. Import
+statements do not count, and neither does a name read in a top-level
+statement that binds it itself: there it is a local or an argument that
+shadows the top-level one.
 """
 
 import ast
@@ -17,11 +20,16 @@ ENTRY_POINTS = {"oracle.goal_has_ground_solution", "terms.prim"}
 
 
 def _names(node):
+    """Names read and attributes used in ``node``, less the names it binds."""
+    read, bound, attrs = set(), set(), set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            yield sub.id
+            (read if isinstance(sub.ctx, ast.Load) else bound).add(sub.id)
+        elif isinstance(sub, ast.arg):
+            bound.add(sub.arg)
         elif isinstance(sub, ast.Attribute):
-            yield sub.attr
+            attrs.add(sub.attr)
+    return (read - bound) | attrs
 
 
 def test_every_top_level_definition_is_used():

@@ -20,7 +20,7 @@ from chrgen.miner import (
     simplify_ruleset,
 )
 from chrgen.program import parse_goal, parse_program, parse_spec
-from chrgen.resolution import Answers, DepthExceeded, Evaluation, _from_table
+from chrgen.resolution import ANSWER_CAP, FAILS, Answers, DepthExceeded, Evaluation, _from_table
 from chrgen.rules import KINDS, Rule, RuleSet, format_rule, parse_rules
 from chrgen.solver import entails, negate, satisfiable, store_from
 from chrgen.terms import canonical_key
@@ -512,27 +512,34 @@ def _non_recursive_runs():
 
 
 def test_tables_decide_as_fresh_forests(monkeypatch):
-    # Every goal with user atoms that mining and the transform evaluate is
-    # decided from a table, with the verdict type of a forest of its own,
-    # and in all-answers mode the same answers, byte for byte, before
-    # evaluate renames their locals.
+    # Every goal that mining and the transform evaluate, with or without
+    # user atoms, is decided from a table, with the verdict type of a forest
+    # of its own, and in all-answers mode the same answers, byte for byte,
+    # before evaluate renames their locals.
     decided = 0
     for program, steps in _non_recursive_runs():
         tables = {}
         for goal, kw, _ in _evaluated(monkeypatch, program, steps, transform=True):
-            depth, mode, cap = kw["depth"], kw["mode"], kw.get("answer_cap", 512)
+            depth, mode, cap = kw["depth"], kw["mode"], kw["answer_cap"]
             forest = Evaluation(program, goal, depth, cap).run(mode)
             table = _from_table(program, goal, depth, mode, cap, None, tables)
-            if table is None:
-                assert all(c.is_primitive for c in goal) or store_from(
-                    [c for c in goal if c.is_primitive]
-                ) is None, goal
-                continue
+            assert table is not None, goal
             decided += 1
             assert type(table) is type(forest), goal
             if mode == "all_answers":
                 assert table == forest, goal
     assert decided > 10_000
+
+
+def test_both_modes_of_an_engine_share_one_table(bool_program):
+    # Exists-mode and all-answers goals over the same atoms are read off one
+    # table, keyed by the engine's one answer cap.
+    for opts in (MinerOptions(), MinerOptions(answer_cap=5)):
+        engine = _Engine(bool_program, opts)
+        assert engine.goal_fails(frozenset(parse_goal("and(X,Y,Z), Z=1, X=0"))) is FAILS
+        assert isinstance(engine.goal_answers(frozenset(parse_goal("and(X,Y,Z), Z=0"))), Answers)
+        assert list(engine._tables) == [(frozenset(parse_goal("and(X,Y,Z)")), 200, opts.answer_cap)]
+    assert MinerOptions().answer_cap == ANSWER_CAP
 
 
 def test_tabled_verdicts_agree_with_classical_ones(monkeypatch):

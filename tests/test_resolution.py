@@ -273,8 +273,8 @@ def test_answers_group_as_the_reference_keys_on_recorded_answers():
     # answers that the reference keys identify: the answer cap counts
     # distinct answers, so a coarser or a finer key would move verdicts.
     # The bool programs are fact tables, so general mining builds one forest
-    # per answer table (64 answers), not one per goal (434 answers).
-    for run, n in ((_transform_append, 141), (_mine_bool_general, 64)):
+    # per answer table (54 answers), not one per goal (434 answers).
+    for run, n in ((_transform_append, 133), (_mine_bool_general, 54)):
         records = _recorded_answers(run)
         assert len(records) == n
         answers = [(id(e), project(s, keep)) for e, s, keep in records]
@@ -557,7 +557,8 @@ def _bindings(combo):
 def test_goals_are_decided_from_one_table_per_set_of_user_atoms(bool_program):
     tables, lines = {}, []
     goals = ["and(X,Y,Z)", "and(X,Y,Z), Z=1", "and(X,Y,Z), X=0, Z=1",
-             "and(X,Y,Z), Z=W", "and(X,Y,Z), neg(X,W)"]
+             "and(X,Y,Z), Z=W", "and(X,Y,Z), neg(X,W)", "X=Y, Y\\=1",
+             "and(X,Y,Z), X=0, X=1"]
     for text in goals:
         for mode in ("exists", "all_answers"):
             got = evaluate(bool_program, parse_goal(text), mode=mode, answer_cap=64,
@@ -566,15 +567,21 @@ def test_goals_are_decided_from_one_table_per_set_of_user_atoms(bool_program):
             assert type(got) is type(want), (text, mode)
             if mode == "all_answers" and isinstance(want, Answers):
                 assert len(got.answers) == len(want.answers), text
-    # One table per set of user atoms, and every goal decided from one.
+    # One table per set of user atoms, the empty one included, and every
+    # goal decided from one, or failed at once on its primitives.
     assert [line for line in lines if line.startswith("table: ") and "decided" not in line] == [
         "table: and(X,Y,Z): 4 answers",
         "table: and(X,Y,Z), neg(X,W): 4 answers",
+        "table: true: 1 answers",
+        "table: X=0, X=1, and(X,Y,Z) fails: its primitives are inconsistent",
+        "table: X=0, X=1, and(X,Y,Z) fails: its primitives are inconsistent",
     ]
-    assert sum("decided from the table" in line for line in lines) == 2 * len(goals)
-    assert sorted(tables) == sorted(
+    assert sum("decided from the table" in line for line in lines) == 2 * (len(goals) - 1)
+    assert set(tables) == {
         (frozenset(parse_goal(t)), 200, 64) for t in ("and(X,Y,Z)", "and(X,Y,Z), neg(X,W)")
-    )
+    } | {(frozenset(), 200, 64)}
+    # The only forests are those that fill the tables.
+    assert sum(line.startswith("call: ") for line in lines) == len(tables)
 
 
 def test_a_table_answers_as_a_fresh_forest_does(bool_program):
@@ -597,7 +604,7 @@ def test_recursive_goals_get_a_forest_of_their_own(append_program):
     assert isinstance(evaluate(append_program, goal, tables=tables, trace=lines.append), Fails)
     assert lines[0] == "table: none for append(X,Y,Z): it reaches recursion"
     assert "suspend" in "\n".join(lines)
-    assert tables == {(frozenset(parse_goal("append(X,Y,Z)")), 200, 512): None}
+    assert tables == {(frozenset(parse_goal("append(X,Y,Z)")), 200, 64): None}
 
 
 def test_recursion_is_found_through_any_call_chain():

@@ -38,7 +38,6 @@ from chrgen.terms import (
     Const,
     Var,
     apply_match,
-    atom,
     cons,
     make_list,
     match_subst_constraint,
@@ -48,7 +47,7 @@ from chrgen.terms import (
 )
 
 from conftest import DATA
-from util import project_by_simplify
+from util import atom, project_by_simplify
 
 X, Y, Z, W = Var("X"), Var("Y"), Var("Z"), Var("W")
 a, b = Const("a"), Const("b")

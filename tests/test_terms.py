@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chrgen.program import parse_spec
-from chrgen.rules import parse_rules
+from chrgen.rules import Rule, RuleSet, parse_rules
 from chrgen.terms import (
     Compound,
     Const,
@@ -21,12 +21,12 @@ from chrgen.terms import (
     Var,
     apply_match,
     apply_subst,
-    atom,
     canonical_key,
     cons,
     constraint_key,
     constraint_vars,
     constraints_vars,
+    key_text,
     make_list,
     match_into,
     match_term,
@@ -38,6 +38,7 @@ from chrgen.terms import (
 )
 
 from conftest import DATA, GOLDEN
+from util import atom
 
 X, Y, Z, W = Var("X"), Var("Y"), Var("Z"), Var("W")
 a, b = Const("a"), Const("b")
@@ -240,6 +241,15 @@ def test_rule_keys_match_reference_on_golden_rules():
             marked = _marked(rule.lhs, rule.rhs)
             assert rule.canonical_key() == (rule.kind, reference_key(marked))
             assert canonical_key(rule.lhs) == reference_key(rule.lhs)
+
+
+def test_key_text_is_the_str_of_the_key():
+    keys = [(), (1,), ((),), ((1,),), ("a'b", ('"',)), (1, (2, (3,), ()))]
+    for path in [*sorted(GOLDEN.glob("*.txt")), *sorted((DATA / "chr").glob("*.rules"))]:
+        keys += [rule.canonical_key() for rule in parse_rules(path.read_text()).rules]
+    assert len(keys) > 200
+    for key in keys:
+        assert key_text(key) == str(key)
 
 
 _NAMES = ["X", "Y", "Z", "V1", "V2", "V3", "V10"]
@@ -446,3 +456,18 @@ def test_deep_terms_keyed_without_recursion():
         assert len(canon) == 2 and canon[1] == ("p", ((0, "V2"),))
         assert canon[0][0] == "eq" and canon[0][1][0] == (0, "V1")
         assert _list_tail(canon[0][1][1], n) == (0, "V2")
+
+
+def test_variant_rules_over_deep_lists_are_one_rule():
+    # Comparing the two deep keys as tuples would recurse once per cell.
+    n = 1200
+
+    def rule(v):
+        lhs = frozenset({atom("p", v), prim("eq", v, make_list([a] * n))})
+        return Rule("propagation", lhs, (atom("q", v),))
+
+    rs = RuleSet()
+    assert rs.add(rule(X))
+    assert not rs.add(rule(Y))
+    assert len(RuleSet([rule(X), rule(Y)])._keys) == 1
+    assert key_text(rule(Y).canonical_key()).count("'cons'") == n

@@ -2,7 +2,12 @@
 
 from chrgen.rules import RuleSet, format_rule
 from chrgen.solver import simplify, store_from
-from chrgen.terms import Constraint, Var, constraint_key
+from chrgen.terms import Constraint, Term, Var, constraint_key
+
+
+def atom(functor: str, *args: Term) -> Constraint:
+    """A user-defined constraint ``functor(args...)``."""
+    return Constraint(functor, tuple(args))
 
 
 def rule_lines(rs: RuleSet) -> set[str]:
