@@ -31,6 +31,7 @@ from .terms import (
     canonical_key,
     constraint_key,
     constraints_vars,
+    flat_key,
     match_into,
     match_subst_constraints,
     renaming_for,
@@ -414,10 +415,12 @@ def simplify_ruleset(rs: RuleSet) -> RuleSet:
     lhs_keys: dict[frozenset, tuple] = {}
 
     def order(rule: Rule) -> tuple:
+        # (len(lhs), lhs key, kind index, rule key), flattened, so that
+        # sorting deep keys does not recurse.
         key = lhs_keys.get(rule.lhs)
         if key is None:
-            key = lhs_keys[rule.lhs] = canonical_key(rule.lhs)
-        return (len(rule.lhs), key, KINDS.index(rule.kind), rule.canonical_key())
+            key = lhs_keys[rule.lhs] = flat_key(canonical_key(rule.lhs))
+        return (len(rule.lhs), *key, KINDS.index(rule.kind), *rule.sort_key())
 
     kept: list[tuple[Rule, list[Constraint]]] = []
     closures: dict[frozenset, Optional[frozenset]] = {}

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from .program import _Parser, format_constraint
-from .terms import Constraint, canonical_key, constraint_key, key_text
+from .terms import Constraint, canonical_key, constraint_key, flat_key
 
 KINDS = ("failure", "propagation", "splitting", "simplification")
 
@@ -36,25 +36,19 @@ class Rule:
     def canonical_key(self) -> tuple:
         # One canonical form over lhs and rhs together so shared variables
         # stay aligned; the marker constant separates the two sides.
-        cached = self.__dict__.get("_key")
-        if cached is not None:
-            return cached
         marked = list(self.lhs) + [
             Constraint(f"$rhs_{i}_{c.functor}", c.args) for i, c in enumerate(self.rhs)
         ]
-        key = (self.kind, canonical_key(marked))
-        object.__setattr__(self, "_key", key)
+        return (self.kind, canonical_key(marked))
+
+    def sort_key(self) -> tuple:
+        """The canonical key as a :func:`terms.flat_key`, cached: variant
+        rules over a deep term then compare and sort without recursion."""
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = flat_key(self.canonical_key())
+            object.__setattr__(self, "_key", key)
         return key
-
-
-class _Key(tuple):
-    """A rule key as a set member: hashed as the tuple but compared by its
-    text, so that variant rules over a deep term compare without recursion."""
-
-    __hash__ = tuple.__hash__
-
-    def __eq__(self, other):
-        return key_text(self) == key_text(other)
 
 
 @dataclass
@@ -63,11 +57,11 @@ class RuleSet:
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._keys = {_Key(r.canonical_key()) for r in self.rules}
+        self._keys = {r.sort_key() for r in self.rules}
 
     def add(self, rule: Rule) -> bool:
         """Append unless a variant rule is already present."""
-        key = _Key(rule.canonical_key())
+        key = rule.sort_key()
         if key in self._keys:
             return False
         self._keys.add(key)

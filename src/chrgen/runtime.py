@@ -274,9 +274,6 @@ def _split(
         else:
             branch.history.add(key)
         if alternative(branch, *matches):
-            # The copied-from store served the occurs check while the body
-            # went in, as in solver.assert_many.
-            branch.store.base = None
             branches.append(branch)
     return branches
 

@@ -51,15 +51,6 @@ def _const_value(t: Term) -> Optional[int]:
     return None
 
 
-#: Walk length past which an occurs check switches from a plain walk to the
-#: cached free-variable sets below.
-_WALK_BUDGET = 32
-#: How far back the binding log is searched for a cached free-variable set,
-#: and how many sets one compound keeps.
-_LOG_SEARCH = 64
-_CACHE_SLOTS = 4
-
-
 # Trail entries come in pairs: a variable, then what to undo for it.
 _UNBOUND = object()  # the variable was bound
 _SEEN = object()  # the variable was added to ``seen_vars``
@@ -74,12 +65,10 @@ class Store:
     of its own and change it in place with :func:`assert_all`, going back to
     an earlier :meth:`mark` with :meth:`undo`.
 
-    ``log`` is a persistent list of the variables bound so far, newest
-    first, as ``(var, older)`` nodes; copies share it. ``base`` holds the
-    bindings of the store this one was copied from and ``base_log`` its
-    log, so that the occurs check can reuse work done on that parent state.
-    On a trail the parent state is the last mark undone to: ``base_at`` is
-    its trail position.
+    Every equality is unified under an occurs check that walks the resolved
+    term, so its cost is linear in that term: over a derivation whose list
+    spine grows by a cell at every level, the checks add up to a cost
+    quadratic in the depth.
     """
 
     parent: dict[Term, Term] = field(default_factory=dict)
@@ -89,11 +78,7 @@ class Store:
     suspended_neqs: tuple[tuple[Term, Term], ...] = ()
     constraints: list[Constraint] = field(default_factory=list)
     seen_vars: set[Var] = field(default_factory=set)
-    log: Optional[tuple] = None
-    base: Optional[dict] = None
-    base_log: Optional[tuple] = None
     trail: Optional[list] = None
-    base_at: int = 0
 
     def copy(self) -> "Store":
         return Store(
@@ -103,10 +88,6 @@ class Store:
             self.suspended_neqs,
             list(self.constraints),
             set(self.seen_vars),
-            self.log,
-            # A trailed store's bindings change under it: no base then.
-            self.parent if self.trail is None else None,
-            self.log,
         )
 
     # -- in-place changes with undo ----------------------------------------
@@ -115,20 +96,15 @@ class Store:
         """Record every later change, so that :meth:`undo` can revert it.
         Variable chains are no longer compressed from here on."""
         self.trail = []
-        self.base = None
-        self.base_at = 0
-        self.base_log = self.log
 
     def end_trail(self) -> None:
         """Keep the current state as a store with value semantics."""
         self.trail = None
-        self.base = None
 
     def mark(self) -> tuple:
         return (
             len(self.trail),
             len(self.constraints),
-            self.log,
             self.suspended_neqs,
             self.strict,
             self.nonstrict,
@@ -136,8 +112,8 @@ class Store:
 
     def undo(self, mark: tuple) -> None:
         """Revert to the state at ``mark``, which must precede the current
-        state on the trail; that state is then the occurs check's base."""
-        n_trail, n_constraints, log, neqs, strict, nonstrict = mark
+        state on the trail."""
+        n_trail, n_constraints, neqs, strict, nonstrict = mark
         trail, parent = self.trail, self.parent
         while len(trail) > n_trail:
             what = trail.pop()
@@ -147,8 +123,6 @@ class Store:
             else:
                 self.seen_vars.discard(v)
         del self.constraints[n_constraints:]
-        self.log = self.base_log = log
-        self.base_at = n_trail
         self.suspended_neqs = neqs
         self.strict = strict
         self.nonstrict = nonstrict
@@ -172,78 +146,26 @@ class Store:
 
     def _bind(self, v: Var, t: Term) -> None:
         self.parent[v] = t
-        self.log = (v, self.log)
         if self.trail is not None:
             self.trail.extend((v, _UNBOUND))
 
     def _occurs(self, v: Var, t: Term) -> bool:
         """Whether v occurs in t under the current bindings.
 
-        Short terms are walked. A long one (a list spine that resolution
-        keeps extending at its tail) is checked against its free variables
-        in the parent store, which are cached on the term and brought up to
-        date from the bindings made since; only the variables this store
-        bound on top of them are walked.
+        A plain walk, linear in the resolved term: over a derivation whose
+        list spine grows by a cell at every level, the checks add up to a
+        cost quadratic in the depth.
         """
-        compress = self.trail is None
-        found = _reaches(self.parent, v, t, compress, _WALK_BUDGET)
-        if found is not None:
-            return found
-        t = self.walk(t)
-        free = self._base_free_vars(t)
-        if free is None:
-            return _reaches(self.parent, v, t, compress)
-        stale = free.intersection(_bound_since(self.log, self.base_log))
-        if v in free and v not in stale:
-            return True
-        return any(_reaches(self.parent, v, u, compress) for u in stale)
-
-    def _base_view(self):
-        """The bindings of the parent state, or None when there is none."""
-        if self.trail is None:
-            return self.base
-        return _Before(self.parent, self.trail[self.base_at :])
-
-    def _base_free_vars(self, t: Compound) -> Optional[frozenset]:
-        """Free variables of t in the parent state, or None without one.
-
-        The set is derived from one cached at an ancestor of the parent
-        state, found in the binding log, or else computed afresh; it is then
-        cached for the parent state, which this store's siblings share.
-        """
-        parent = self._base_view()
-        if parent is None:
-            return None
-        log = self.base_log
-        try:
-            cache = t._free
-        except AttributeError:
-            cache = {}
-            object.__setattr__(t, "_free", cache)
-        free = None
-        node, bound = log, []
-        for _ in range(_LOG_SEARCH):
-            hit = cache.get(id(node))
-            if hit is not None and hit[0] is node:
-                if node is log:
-                    return hit[1]
-                free = hit[1]
-                stale = free.intersection(bound)
-                if stale:
-                    free = free.difference(stale).union(
-                        *(_free_vars(parent, u) for u in stale)
-                    )
-                break
-            if node is None:
-                break
-            bound.append(node[0])
-            node = node[1]
-        if free is None:
-            free = frozenset(_free_vars(parent, t))
-        if len(cache) >= _CACHE_SLOTS:
-            del cache[next(iter(cache))]
-        cache[id(log)] = (log, free)
-        return free
+        parent, compress = self.parent, self.trail is None
+        stack = [t]
+        while stack:
+            t = _walk(parent, stack.pop(), compress)
+            if isinstance(t, Var):
+                if t == v:
+                    return True
+            elif isinstance(t, Compound):
+                stack.extend(t.args)
+        return False
 
     def find(
         self, t: Term, memo: Optional[dict] = None, names: Optional[Mapping[Var, Var]] = None
@@ -354,66 +276,6 @@ def _walk(parent: dict, t: Term, compress: bool = True) -> Term:
     return t
 
 
-def _reaches(
-    parent: dict, v: Var, t: Term, compress: bool = True, budget: Optional[int] = None
-) -> Optional[bool]:
-    """Whether v occurs in t under the bindings in ``parent``; None when
-    the walk would visit more than ``budget`` terms."""
-    stack = [t]
-    while stack:
-        if budget is not None:
-            budget -= 1
-            if budget < 0:
-                return None
-        t = _walk(parent, stack.pop(), compress)
-        if isinstance(t, Var):
-            if t == v:
-                return True
-        elif isinstance(t, Compound):
-            stack.extend(t.args)
-    return False
-
-
-def _free_vars(parent, t: Term) -> set[Var]:
-    """Unbound variables reachable from t under the bindings in ``parent``,
-    which is only read."""
-    out: set[Var] = set()
-    stack = [t]
-    while stack:
-        t = _walk(parent, stack.pop(), False)
-        if isinstance(t, Var):
-            out.add(t)
-        elif isinstance(t, Compound):
-            stack.extend(t.args)
-    return out
-
-
-class _Before:
-    """Read-only view of a trailed store's bindings as they were before the
-    given trail entries."""
-
-    def __init__(self, parent: dict, entries: list):
-        self.parent = parent
-        self.later = {
-            entries[i] for i in range(0, len(entries), 2) if entries[i + 1] is _UNBOUND
-        }
-
-    def __contains__(self, v) -> bool:
-        return v not in self.later and v in self.parent
-
-    def __getitem__(self, v):
-        return self.parent[v]
-
-
-def _bound_since(log: Optional[tuple], older: Optional[tuple]) -> list[Var]:
-    """Variables bound in ``log`` after its ancestor ``older``."""
-    out = []
-    while log is not older:
-        out.append(log[0])
-        log = log[1]
-    return out
-
-
 def _count_vars(t: Term, counts: dict[Var, int]) -> None:
     if isinstance(t, Var):
         counts[t] = counts.get(t, 0) + 1
@@ -480,7 +342,6 @@ def assert_many(s: Store, cs: Iterable[Constraint]) -> Optional[Store]:
     s = s.copy()
     if not assert_all(s, cs):
         return None
-    s.base = None  # the parent state serves only while the batch goes in
     return s
 
 

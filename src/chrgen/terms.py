@@ -67,9 +67,7 @@ _init = object.__setattr__
 
 
 class Compound(_Frozen):
-    # ``_free`` belongs to the constraint store: the free variables of the
-    # term as of some binding state, kept for its occurs check.
-    __slots__ = ("functor", "args", "_hash", "_free")
+    __slots__ = ("functor", "args", "_hash")
 
     def __init__(self, functor: str, args: tuple["Term", ...]):
         _init(self, "functor", functor)
@@ -483,6 +481,40 @@ def key_text(key: tuple) -> str:
             stack.pop()
             parts.append(",)" if n == 1 else ")")
     return "".join(parts)
+
+
+class _End:
+    """Closes a tuple in :func:`flat_key`: less than every other item."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return other is not self
+
+    def __gt__(self, other):
+        return False
+
+
+_END = _End()
+
+
+def flat_key(key: tuple) -> tuple:
+    """The items of the nested key tuple in order, each tuple closed by an
+    item less than any other. Flat keys compare as the nested keys do,
+    wherever those compare at all, but without recursion however long a
+    list spine they hold."""
+    out: list = []
+    stack = [iter(key)]
+    while stack:
+        for item in stack[-1]:
+            if item.__class__ is tuple:
+                stack.append(iter(item))
+                break
+            out.append(item)
+        else:
+            stack.pop()
+            out.append(_END)
+    return tuple(out)
 
 
 def _renumbered(key: tuple, names: dict[str, tuple]) -> tuple:

@@ -236,6 +236,15 @@ def test_empty_rhs_dropped():
     assert rule_lines(out) == {"p(X) ==> X=a."}
 
 
+def test_rules_over_deep_lists_that_differ_near_the_end_are_sorted():
+    # Comparing the two lhs keys as nested tuples would recurse once per
+    # list cell, past Python's recursion limit.
+    items = ",".join(["a"] * 1199)
+    rs = parse_rules(f"p(X), X=[{items},b] ==> q(X).\np(X), X=[{items},a] ==> q(X).\n")
+    out = simplify_ruleset(rs)
+    assert [format_rule(r)[-12:] for r in out.rules] == ["a] ==> q(X).", "b] ==> q(X)."]
+
+
 # ---------------------------------------------------------------------------
 # Per-lhs bookkeeping against the per-rule references
 # ---------------------------------------------------------------------------

@@ -235,7 +235,6 @@ def _ref_fire(rule, idx, state, index):
         for body, local_vars in rule.alternatives:
             branch = state.copy()
             if _ref_apply_body(rule, idx, ids, sigma, body, local_vars, branch):
-                branch.store.base = None
                 branches.append(branch)
         return branches
     return None

@@ -14,7 +14,7 @@ import itertools
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chrgen import miner, solver
@@ -43,6 +43,7 @@ from chrgen.terms import (
     match_subst_constraint,
     match_subst_constraints,
     prim,
+    unify,
     NIL,
 )
 
@@ -100,11 +101,11 @@ def test_occurs_check_on_long_spine():
     assert store_from(spine + [prim("eq", cells[2000], cells[0])]) is None
 
 
-def test_occurs_check_reuses_work_across_stores():
+def test_occurs_check_on_copied_and_trailed_stores_at_every_spine_length():
     # a spine grows one cell per store, copied (as tabled resolution does)
     # and on a trail (as the classical search does); at every length one
     # sibling closes the cycle and one binds a variable from outside the
-    # spine to it, so both answers of the cached occurs check are exercised
+    # spine to it, so the occurs check must answer both yes and no
     Q, L = Var("Q"), Var("L")
     root = [prim("neq", Q, a), prim("eq", L, cons(a, Var("T0")))]
     copied = store_from(root)
@@ -128,7 +129,7 @@ def test_trail_undo_restores_the_store():
     def state():
         return (
             dict(s.parent), list(s.constraints), set(s.seen_vars),
-            s.suspended_neqs, s.strict, s.nonstrict, s.log,
+            s.suspended_neqs, s.strict, s.nonstrict,
         )
 
     before = state()
@@ -144,6 +145,59 @@ def test_trail_undo_restores_the_store():
     s.undo(mark)
     assert state() == before
     assert not entails(s, prim("eq", X, cons(a, Z)))
+
+
+UNIFY_VARS = [Var(n) for n in "ABCD"]
+A, B, C, D = UNIFY_VARS
+UNIFY_TERMS = st.recursive(
+    st.sampled_from(UNIFY_VARS + [a, b, NIL]),
+    lambda inner: st.builds(cons, inner, inner)
+    | st.builds(lambda l, r: Compound("f", (l, r)), inner, inner),
+    max_leaves=4,
+)
+
+
+def _unifiable(batch) -> bool:
+    """Whether folding the substitution unifier over the equalities
+    succeeds: an oracle independent of the store's union-find."""
+    s = {}
+    for c in batch:
+        s = unify(*c.args, s)
+        if s is None:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(lambda l, r: prim("eq", l, r), UNIFY_TERMS, UNIFY_TERMS), max_size=6))
+# cycles that close only through earlier bindings
+@example([prim("eq", A, cons(a, B)), prim("eq", B, Compound("f", (C, A)))])
+@example([prim("eq", A, cons(B, C)), prim("eq", C, cons(a, D)), prim("eq", D, A)])
+@example([prim("eq", A, B), prim("eq", B, C), prim("eq", C, cons(a, A))])
+# a variable linear in its constraint but seen in an earlier one
+@example([prim("eq", A, cons(a, B)), prim("eq", B, cons(C, A))])
+def test_unification_agrees_with_the_substitution_unifier(batch):
+    # in one batch
+    assert (store_from(batch) is None) == (not _unifiable(batch))
+    # one constraint at a time, on copies
+    s = Store()
+    for i, c in enumerate(batch):
+        s = assert_many(s, [c])
+        assert (s is None) == (not _unifiable(batch[: i + 1]))
+        if s is None:
+            break
+    # on a trail: a constraint that fails is undone, and the rest go on
+    trailed = Store()
+    trailed.begin_trail()
+    kept = []
+    for c in batch:
+        mark = trailed.mark()
+        ok = assert_all(trailed, [c])
+        assert ok == _unifiable(kept + [c])
+        if ok:
+            kept.append(c)
+        else:
+            trailed.undo(mark)
 
 
 def test_transitive_equality():

@@ -26,6 +26,7 @@ from chrgen.terms import (
     constraint_key,
     constraint_vars,
     constraints_vars,
+    flat_key,
     key_text,
     make_list,
     match_into,
@@ -272,6 +273,20 @@ _constraints = st.one_of(
 @given(st.lists(_constraints, max_size=5))
 def test_canonical_key_matches_reference(cs):
     assert canonical_key(cs) == reference_key(cs)
+
+
+def _sign(x, y):
+    return (x > y) - (x < y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_constraints, max_size=3), st.lists(_constraints, max_size=3))
+def test_flat_key_sorts_as_the_nested_key(cs, ds):
+    # the union shares constraints, and so key prefixes, with both parts
+    keys = [canonical_key(cs), canonical_key(ds), canonical_key(cs + ds)]
+    for k, l in itertools.combinations(keys, 2):
+        assert _sign(flat_key(k), flat_key(l)) == _sign(k, l)
+        assert (flat_key(k) == flat_key(l)) == (k == l)
 
 
 # ---------------------------------------------------------------------------
