@@ -25,6 +25,15 @@ completion: each answer consistent with the goal's primitives is conjoined
 with them and projected onto the goal's variables. Only atoms that reach
 recursion, or whose table was cut, get a forest per goal.
 
+Where every answer of a table binds each atom variable to a ground term,
+as fact tables give (``X=0, Y=1, Z=1``), the table is also a set of rows,
+read the way the finite-domain rule generators of Apt and Monfroy (CP 1999)
+and Abdennadher and Rigotti (CP 2000) read a constraint: as its tuples. A
+goal whose primitives are equalities and disequalities over the row
+variables and ground terms, or orders between integers, is then decided
+without a store, by ANDing one bit mask of rows per primitive, each
+computed once per table. Every other goal is decided on a store.
+
 The classical evaluator keeps the resolvent as an ordered literal sequence
 with left-to-right selection: leading primitive constraints are moved into
 the store, then the leftmost atom is replaced in place by a clause body.
@@ -37,6 +46,7 @@ here.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -44,8 +54,9 @@ from typing import Callable, Optional
 
 from . import solver
 from .program import Clause, Goal, Program, format_constraint, format_constraints
-from .solver import Store, assert_all, assert_many, entails, store_from
+from .solver import Store, assert_all, assert_many, entails, is_ordered_const, store_from
 from .terms import (
+    ORDER_RELATIONS,
     PRIMITIVE_RELATIONS,
     Compound,
     Constraint,
@@ -664,13 +675,12 @@ def _table(
     answer_cap: int,
     trace: Optional[Callable[[str], None]],
     tables: dict,
-) -> Optional[tuple]:
-    """The completed answer table of the user atoms, built on first use:
-    their answers, each with its locals renamed apart from the atoms'
-    variables and sorted by constraint key, and the set of those locals.
-    None when the atoms reach recursion, or when their evaluation hit the
-    depth bound or the answer cap, so that no table can stand in for a
-    forest."""
+) -> Optional[_Table]:
+    """The completed answer table of the user atoms, built on first use
+    and kept in ``tables``, with its ground rows if its answers are all
+    such (see :class:`_Table`). None when the atoms reach recursion, or
+    when their evaluation hit the depth bound or the answer cap, so that no
+    table can stand in for a forest."""
     key = (atoms, depth, answer_cap)
     if key in tables:
         return tables[key]
@@ -684,16 +694,92 @@ def _table(
             if trace:
                 trace(f"table: none for {format_constraints(atoms)}: bound or cap hit")
         else:
-            atom_vars = constraints_vars(atoms)
-            answers = tuple(
-                _renamed_apart(a, atom_vars, atom_vars)
-                for a in (out.answers if isinstance(out, Answers) else ())
-            )
-            table = (answers, constraints_vars(itertools.chain(*answers)) - atom_vars)
+            answers = out.answers if isinstance(out, Answers) else ()
+            table = _Table(answers, constraints_vars(atoms))
             if trace:
                 trace(f"table: {format_constraints(atoms) or 'true'}: {len(answers)} answers")
     tables[key] = table
     return table
+
+
+class _Table:
+    """The completed answer table of a set of user atoms.
+
+    ``answers`` holds its answers in the order of the evaluation that built
+    it, each with its locals renamed apart from the atoms' variables and
+    sorted by constraint key, and ``locals`` the set of those locals.
+
+    When every answer binds each atom variable to a ground term and says
+    nothing else, the answers are also kept as ``rows`` of those bindings,
+    with each answer as a frozenset in ``row_answers``, and ``masks``
+    memoises per primitive the bit mask of the rows on which it holds, bit
+    ``i`` for row ``i`` (see :func:`_row_mask`). The table lives and dies
+    with the caller's ``tables`` dict.
+    """
+
+    __slots__ = ("answers", "locals", "atom_vars", "rows", "row_answers", "masks")
+
+    def __init__(self, answers: tuple[Answer, ...], atom_vars: set):
+        self.answers = tuple(_renamed_apart(a, atom_vars, atom_vars) for a in answers)
+        self.locals = constraints_vars(itertools.chain(*self.answers)) - atom_vars
+        self.atom_vars = atom_vars
+        rows = [solver.ground_row(a) for a in self.answers]
+        self.rows = self.row_answers = None
+        if all(r is not None and r.keys() == atom_vars for r in rows):
+            self.rows = rows
+            self.row_answers = [frozenset(a) for a in self.answers]
+            self.masks: dict[Constraint, Optional[int]] = {}
+
+    def matching_rows(self, prims: list[Constraint], mode: str) -> Optional[list[Answer]]:
+        """The answers of the rows on which every primitive holds, in table
+        order, only the first of them in mode ``exists``. None when the
+        table has no rows, or when one of the primitives is not decided on
+        them alone."""
+        if self.rows is None:
+            return None
+        hits = (1 << len(self.rows)) - 1
+        for c in prims:
+            if c not in self.masks:
+                self.masks[c] = _row_mask(c, self.rows, self.atom_vars)
+            mask = self.masks[c]
+            if mask is None:
+                return None
+            hits &= mask
+        found = []
+        while hits:
+            low = hits & -hits
+            found.append(self.row_answers[low.bit_length() - 1])
+            if mode == "exists":
+                break
+            hits ^= low
+        return found
+
+
+_ROW_TESTS = {
+    "eq": operator.eq, "neq": operator.ne,
+    "lt": operator.lt, "le": operator.le, "gt": operator.gt, "ge": operator.ge,
+}
+
+
+def _row_mask(c: Constraint, rows: list[dict], row_vars: set) -> Optional[int]:
+    """Bit mask of the rows on which the primitive holds, bit ``i`` for row
+    ``i``. Each argument must be a row variable or a ground term, and an
+    order must compare integers on every row; otherwise None, since then the
+    store decides the primitive by rules a row cannot reproduce."""
+    if not all(t in row_vars if t.__class__ is Var else not term_vars(t) for t in c.args):
+        return None
+    test = _ROW_TESTS[c.functor]
+    order = c.functor in ORDER_RELATIONS
+    mask = 0
+    for i, row in enumerate(rows):
+        a, b = (row[t] if t.__class__ is Var else t for t in c.args)
+        if order:
+            if not (is_ordered_const(a) and is_ordered_const(b)):
+                return None
+            a, b = int(a.name), int(b.name)
+        if test(a, b):
+            mask |= 1 << i
+    return mask
 
 
 def _renamed_apart(answer: Answer, kept: set, avoid: set) -> tuple[Constraint, ...]:
@@ -718,23 +804,46 @@ def _from_table(
     of the goal, and every answer of the goal is one of these. In mode
     ``exists`` the first one is the witness. The table of no atoms holds
     one empty answer. None, for a forest to decide the goal, only when
-    ``U`` has no table."""
+    ``U`` has no table.
+
+    Where the table has ground rows and each primitive of ``P`` is decided
+    on them (:meth:`_Table.matching_rows`), the goal's answers are the rows
+    left by ANDing the primitives' masks: ``P`` binds no variable the rows
+    do not, so each is its row's own answer, and table order is the answer
+    order. Any other goal asserts each answer in turn on a trailed store of
+    ``P``. When tracing, a goal that no row satisfies also gets a store of
+    ``P``, to tell whether its primitives alone are inconsistent."""
     atoms = frozenset(c for c in goal if not c.is_primitive)
     table = _table(program, atoms, depth, answer_cap, trace, tables)
     if table is None:
         return None
-    store = store_from(sorted((c for c in goal if c.is_primitive), key=constraint_key))
-    if store is None:
-        if trace:
-            trace(f"table: {format_constraints(goal)} fails: its primitives are inconsistent")
-        return FAILS
-    answers, table_locals = table
+    prims = [c for c in goal if c.is_primitive]
+    found = table.matching_rows(prims, mode)
+    if found is None or (trace and not found):
+        store = store_from(sorted(prims, key=constraint_key))
+        if store is None:
+            if trace:
+                trace(f"table: {format_constraints(goal)} fails: its primitives are inconsistent")
+            return FAILS
+        if found is None:
+            found = _answers_on_store(store, table, goal, mode)
+    if trace:
+        trace(
+            f"table: {format_constraints(goal)} decided from the table of"
+            f" {format_constraints(atoms) or 'true'}: {len(found)} answers"
+        )
+    return Answers(tuple(found)) if found else FAILS
+
+
+def _answers_on_store(store: Store, table: _Table, goal: Goal, mode: str) -> list[Answer]:
+    """The goal's answers from its primitives' store: each table answer in
+    turn on that store, on a trail, projected onto the goal's variables, in
+    answer order; only the first in mode ``exists``. The table holds at
+    most the answer cap's count of answers, so the goal does too."""
+    answers = table.answers
     goal_vars = constraints_vars(goal)
-    if not table_locals.isdisjoint(goal_vars):
-        atom_vars = constraints_vars(atoms)
-        answers = [_renamed_apart(a, atom_vars, goal_vars) for a in answers]
-    # Each answer in turn on one trailed store of the primitives. The table
-    # holds at most ``answer_cap`` answers, so the goal does too.
+    if not table.locals.isdisjoint(goal_vars):
+        answers = [_renamed_apart(a, table.atom_vars, goal_vars) for a in answers]
     store.begin_trail()
     mark = store.mark()
     found: dict[Answer, None] = {}
@@ -745,12 +854,7 @@ def _from_table(
         found[solver.project(store, goal_vars)] = None
         if mode == "exists":
             break
-    if trace:
-        trace(
-            f"table: {format_constraints(goal)} decided from the table of"
-            f" {format_constraints(atoms) or 'true'}: {len(found)} answers"
-        )
-    return Answers(tuple(sorted(found, key=_answer_key))) if found else FAILS
+    return sorted(found, key=_answer_key)
 
 
 def evaluate(
@@ -791,6 +895,10 @@ def evaluate(
     if mode == "exists" or not isinstance(out, Answers):
         return out
     goal_vars = constraints_vars(goal)
-    renamings = [renaming_for(constraints_vars(a) - goal_vars, "_L", goal_vars)
-                 for a in out.answers]
-    return Answers(tuple(map(match_subst_constraints, renamings, out.answers)))
+    answers = []
+    for a in out.answers:
+        # An answer without locals, such as a ground row, is kept as it is.
+        local = constraints_vars(a) - goal_vars
+        answers.append(match_subst_constraints(renaming_for(local, "_L", goal_vars), a)
+                       if local else a)
+    return Answers(tuple(answers))

@@ -25,6 +25,7 @@ from .terms import (
     Term,
     Var,
     constraint_key,
+    term_vars,
 )
 
 
@@ -464,12 +465,16 @@ def _neq_status(s: Store, l: Term, r: Term, frontier: list) -> int:
     while stack:
         l, r = stack.pop()
         a, b = s.walk(l), s.walk(r)
-        if a == b:
+        if a is b:
             continue
+        # Compounds are taken apart, never compared with ``==``, so each
+        # cell of a long spine is visited once.
         if isinstance(a, Compound) and isinstance(b, Compound):
             if a.functor != b.functor or len(a.args) != len(b.args):
                 return _DISTINCT
             stack.extend(reversed(tuple(zip(a.args, b.args))))
+        elif a == b:
+            continue
         elif isinstance(a, Var) or isinstance(b, Var):
             frontier.append((a, b))
             status = _UNDECIDED
@@ -604,6 +609,23 @@ def project(s: Store, keep: AbstractSet[Var]) -> frozenset[Constraint]:
     return _orient(eqs) | simplify(store)
 
 
+def ground_row(answer: Iterable[Constraint]) -> Optional[dict[Var, Term]]:
+    """The bindings of an answer that equates each of its variables, once,
+    with a ground term and says nothing else, such as ``X=0, Y=1``; None
+    for any other answer."""
+    row: dict[Var, Term] = {}
+    for c in answer:
+        if c.functor != "eq":
+            return None
+        v, t = c.args
+        if v.__class__ is not Var or v in row:
+            return None
+        if t.__class__ is not Const and (t.__class__ is not Compound or term_vars(t)):
+            return None
+        row[v] = t
+    return row
+
+
 def dnf_satisfiable(
     pos: list[frozenset[Constraint]],
     neg: list[frozenset[Constraint]],
@@ -613,19 +635,29 @@ def dnf_satisfiable(
 
     In DNF, a conjunct is one positive answer plus one negated literal per
     negated answer; raises BlowupExceeded when there would be more than
-    ``cap`` conjuncts. The conjuncts are searched depth first, one trailed
-    store per positive answer, taking one literal of each negated answer in
-    turn; a branch is cut as soon as its store is inconsistent (Davis,
-    Logemann and Loveland, 1962). An empty negated answer is NOT(true), so
-    no conjunct is satisfiable then. Since the store's bindings,
-    disequalities and order edges only grow along a branch, a cut branch
-    has no conjunct the store would find consistent.
+    ``cap`` conjuncts, whatever the answers are.
+
+    When every answer is a ground row over one set of variables (see
+    :func:`ground_row`), two rows exclude each other unless they are equal,
+    so the formula holds exactly when some positive row is not a negated
+    one: a subset test, with no store.
+
+    Otherwise the conjuncts are searched depth first, one trailed store per
+    positive answer, taking one literal of each negated answer in turn; a
+    branch is cut as soon as its store is inconsistent (Davis, Logemann and
+    Loveland, 1962). An empty negated answer is NOT(true), so no conjunct is
+    satisfiable then. Since the store's bindings, disequalities and order
+    edges only grow along a branch, a cut branch has no conjunct the store
+    would find consistent.
     """
     count = len(pos)
     for b in neg:
         count *= max(len(b), 1)
         if count > cap:
             raise BlowupExceeded(f"{count} conjuncts exceeds cap {cap}")
+    rows = [ground_row(a) for a in itertools.chain(pos, neg)]
+    if rows and all(r is not None and r.keys() == rows[0].keys() for r in rows):
+        return not set(pos) <= set(neg)
     negated = [[negate(c) for c in b] for b in neg]
     for a in pos:
         s = store_from(a)

@@ -15,18 +15,20 @@ import time
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chrgen
 from chrgen import miner, oracle, solver, terms, transform
 from chrgen.program import format_constraints, parse_goal, parse_program, parse_spec
 from chrgen.resolution import (
+    ANSWER_CAP,
     FAILS,
     Answers,
     DepthExceeded,
     Evaluation,
     Fails,
+    _from_table,
     _reaches_recursion,
     evaluate,
 )
@@ -34,6 +36,7 @@ from chrgen.rules import parse_rules
 from chrgen.solver import entails, project, store_from
 from chrgen.terms import (
     NIL,
+    ORDER_RELATIONS,
     Compound,
     Const,
     Var,
@@ -48,7 +51,7 @@ from chrgen.terms import (
 )
 
 from conftest import DATA
-from util import OwnNames, project_by_simplify
+from util import OwnNames, atom, decided_on_store, project_by_simplify
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +599,71 @@ def test_a_table_answers_as_a_fresh_forest_does(bool_program):
         frozenset({"X=1", "Y=0", "Z=0"}),
     }
     assert evaluate(bool_program, parse_goal("and(X,Y,Z), Z=1, X=0"), tables=tables) is FAILS
+
+
+_FACT_ROWS = list(itertools.product("01", repeat=3))
+_RV = {n: Var(n) for n in "XYZW"}
+_RC = {n: Const(n) for n in ("0", "1", "2", "a")}
+# Terms that no order decides: a constant that is not an integer, and
+# compounds over the row variables.
+_UNORDERED = [_RC["a"], Compound("f", (_RV["X"],)), Compound("f", (_RV["Y"],))]
+_ROW_ATOMS = [
+    atom("p", _RV["X"], _RV["Y"], _RV["Z"]),
+    atom("q", _RV["X"], _RV["Y"], _RV["Z"]),
+    atom("p", _RV["Y"], _RV["X"], _RV["Z"]),
+    atom("q", _RV["Z"], _RV["Z"], _RV["X"]),
+    atom("p", _RV["X"], _RC["0"], _RV["Y"]),
+]
+# W stands in no atom and 2 in no row; an order on a, and any primitive on
+# f(X) or f(Y), is left to the store.
+_ROW_TERMS = [*_RV.values(), *_RC.values(), *_UNORDERED[1:]]
+_ROW_PRIMS = st.builds(
+    prim,
+    st.sampled_from(["eq", "neq", "le", "lt", "ge", "gt"]),
+    st.sampled_from(_ROW_TERMS),
+    st.sampled_from(_ROW_TERMS),
+)
+_ROW_GOALS = st.lists(
+    st.tuples(st.frozensets(st.sampled_from(_ROW_ATOMS), max_size=2),
+              st.frozensets(_ROW_PRIMS, max_size=3)),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.sampled_from(_FACT_ROWS), min_size=1),
+       st.sets(st.sampled_from(_FACT_ROWS), min_size=1),
+       _ROW_GOALS)
+@example({("0", "0", "1"), ("0", "1", "1")}, {("1", "1", "1")}, [
+    (frozenset(_ROW_ATOMS[:1]), frozenset({prim("eq", *_UNORDERED[1:])})),
+    (frozenset(_ROW_ATOMS[3:4]), frozenset({prim("le", _RV["X"], _RC["a"])})),
+])
+def test_row_masks_agree_with_the_store_and_the_oracle(p_rows, q_rows, goals):
+    # Random p/3 and q/3 fact tables over {0,1}: every goal read off their
+    # tables gets the same outcome from the rows as from the store, with
+    # the same answers in the same order, and its verdict is the ground
+    # oracle's wherever the oracle applies.
+    text = "".join(f"{f}({','.join(row)}).\n" for f, rows in (("p", p_rows), ("q", q_rows))
+                   for row in sorted(rows))
+    program = parse_program(text)
+    universe = [_RC["0"], _RC["1"]]
+    facts = oracle.success_set(program, universe)
+    tables = {}
+    for atoms, prims in goals:
+        goal = atoms | prims
+        table = None
+        for mode in ("exists", "all_answers"):
+            out = _from_table(program, goal, 200, mode, ANSWER_CAP, None, tables)
+            table = tables[(atoms, 200, ANSWER_CAP)]
+            assert out == decided_on_store(goal, mode, table), (text, goal, mode)
+        # The oracle ranges each variable over {0,1} and holds an order only
+        # between integers, where the store keeps it, so it applies where
+        # every variable stands in an atom and every order is on integers.
+        if constraints_vars(prims) <= constraints_vars(atoms) and not any(
+            c.functor in ORDER_RELATIONS and t in _UNORDERED for c in prims for t in c.args
+        ):
+            tabled = isinstance(evaluate(program, goal, tables=tables), Answers)
+            assert tabled == oracle.goal_has_ground_solution(goal, facts, universe), (text, goal)
 
 
 def test_recursive_goals_get_a_forest_of_their_own(append_program):

@@ -575,12 +575,77 @@ def test_dnf_search_matches_full_expansion_on_mined_answer_sets():
 
 
 def test_dnf_search_cuts_a_branch_once_it_is_inconsistent():
-    # X=0,Y=0,Z=0 against the eight rows of {0,1}^3, that row first: each
-    # negated literal of the first row contradicts the positive answer at
-    # once. The full expansion builds one store per conjunct, 3^8 of them.
+    # X=0,Y=0,Z=0, X#=<Y against the eight rows of {0,1}^3, the row X=0,
+    # Y=0, Z=0 first: each negated literal of that row contradicts the
+    # positive answer at once. The order edge keeps the positive answer from
+    # being a ground row, so the search runs. The full expansion builds one
+    # store per conjunct, 3^8 of them.
     rows = sorted(itertools.product((c0, c1), repeat=3), key=lambda row: row != (c0,) * 3)
     neg = [frozenset(prim("eq", v, t) for v, t in zip((X, Y, Z), row)) for row in rows]
-    pos = neg[:1]
+    pos = [neg[0] | {prim("le", X, Y)}]
     with mock.patch.object(solver, "assert_all", wraps=solver.assert_all) as spy:
         assert not dnf_satisfiable(pos, neg)
     assert spy.call_count == 4  # the positive answer, then one per literal
+
+
+GROUND_ROWS = [
+    frozenset(prim("eq", v, t) for v, t in zip((X, Y), row))
+    for row in itertools.product((c0, c1, Compound("f", (a,))), repeat=2)
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(GROUND_ROWS), max_size=4),
+       st.lists(st.sampled_from(GROUND_ROWS), max_size=5))
+def test_ground_rows_are_compared_by_subset(pos, neg):
+    # Answer sets of ground rows over one set of variables are compared
+    # without a store, and agree with the full expansion.
+    with mock.patch.object(solver, "assert_all", wraps=solver.assert_all) as spy:
+        got = dnf_satisfiable(pos, neg)
+    assert spy.call_count == 0
+    assert got == (not set(pos) <= set(neg))
+    _same_dnf_verdict(pos, neg)
+
+
+def test_ground_rows_past_the_cap_still_raise():
+    # The conjunct count, 1 * 2^4 = 16, is checked before the subset test.
+    rows = GROUND_ROWS[:5]
+    assert dnf_satisfiable(rows[:1], rows[1:], cap=16) is True
+    with pytest.raises(BlowupExceeded):
+        dnf_satisfiable(rows[:1], rows[1:], cap=10)
+
+
+def test_rows_over_different_variables_are_searched():
+    # X=0 and X=0, Y=1 are ground rows, but over different variables: the
+    # store search decides, and the positive answer satisfies NOT(X=0, Y=1).
+    x0 = frozenset({prim("eq", X, c0)})
+    with mock.patch.object(solver, "assert_all", wraps=solver.assert_all) as spy:
+        assert dnf_satisfiable([x0], [x0 | {prim("eq", Y, c1)}])
+    assert spy.call_count > 0
+
+
+def test_disequality_over_long_lists_is_decided_in_linear_time():
+    # Two 1200-element lists that differ in their last cell: each spine
+    # cell is walked once, and no compound pair is compared with ==, which
+    # made one Compound.__eq__ call per cell.
+    n = 1200
+    left = make_list([a] * n)
+    right = make_list([a] * (n - 1) + [c0])
+    s = store_from([prim("eq", X, left)])
+    calls = defaultdict(int)
+    walk, eq = solver._walk, Compound.__eq__
+
+    def counted_walk(*args):
+        calls["walk"] += 1
+        return walk(*args)
+
+    def counted_eq(self, other):
+        calls["eq"] += 1
+        return eq(self, other)
+
+    with mock.patch.object(solver, "_walk", counted_walk), \
+            mock.patch.object(Compound, "__eq__", counted_eq):
+        assert not entails(s, prim("eq", X, right))
+        assert entails(s, prim("eq", X, make_list([a] * n)))
+    assert calls["eq"] == 0
+    assert calls["walk"] <= 2 * 2 * (2 * n + 1)

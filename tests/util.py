@@ -1,5 +1,6 @@
 """Small helpers shared by the test modules."""
 
+from chrgen.resolution import FAILS, Answers, _answers_on_store
 from chrgen.rules import RuleSet, format_rule
 from chrgen.solver import simplify, store_from
 from chrgen.terms import Constraint, Term, Var, constraint_key
@@ -8,6 +9,16 @@ from chrgen.terms import Constraint, Term, Var, constraint_key
 def atom(functor: str, *args: Term) -> Constraint:
     """A user-defined constraint ``functor(args...)``."""
     return Constraint(functor, tuple(args))
+
+
+def decided_on_store(goal, mode: str, table):
+    """The outcome of a goal read off its answer table by the store path
+    alone: each answer on a store of the goal's primitives."""
+    store = store_from(sorted((c for c in goal if c.is_primitive), key=constraint_key))
+    if store is None:
+        return FAILS
+    found = _answers_on_store(store, table, goal, mode)
+    return Answers(tuple(found)) if found else FAILS
 
 
 def rule_lines(rs: RuleSet) -> set[str]:
