@@ -40,7 +40,8 @@ the store, then the leftmost atom is replaced in place by a clause body.
 Constraints written after an atom therefore reach the store only once that
 atom is fully resolved, so recursive calls are unfolded without them and
 goals that a tabled evaluation finitely fails may run into the depth bound
-here.
+here. Where such a goal's branch is cut only to probe whether its tree is
+finite, the probe ends a path at a state that repeats an ancestor's.
 """
 
 from __future__ import annotations
@@ -59,11 +60,14 @@ from .terms import (
     ORDER_RELATIONS,
     PRIMITIVE_RELATIONS,
     Compound,
+    Const,
     Constraint,
     Subst,
     Var,
+    canonical_key,
     constraint_key,
     constraints_vars,
+    flat_key,
     fresh_var,
     match_into,
     match_subst_constraint,
@@ -503,7 +507,10 @@ def _classical(
     inconsistent cannot produce answers and is cut. The cut branch may hide
     an infinite classical subtree, so when the verdict comes down to
     fails-versus-depth-exceeded those branches are re-expanded without the
-    goal constraints just to probe finiteness.
+    goal constraints just to probe finiteness (:func:`_classical_finite`).
+    This search itself runs every path to the bound: most of its paths grow
+    a list at every level, so keying their states costs more than it saves,
+    and a cut there would move the exists-mode witness and the trace.
 
     The search keeps one shadow store on a trail: each stack entry holds
     the mark of its parent's state, which is restored when it is popped.
@@ -619,15 +626,24 @@ def _classical_finite(
 ) -> bool:
     """Whether the classical tree under the given resolvent is finite
     within the depth budget; answers are irrelevant here. The store is
-    used up: the search changes it in place on a trail."""
+    used up: the search changes it in place on a trail.
+
+    A node whose state is a variant of an ancestor's on its path repeats
+    the steps between them forever, so the tree is infinite there and the
+    depth bound would end that path anyway: the variant loop check of Bol,
+    Apt and Klop (TCS 1991). Where the atoms reach recursion, states are
+    compared at 0, 1, 2, 4, ... levels below the start, so a path that
+    never repeats keys only O(log depth) nodes; each stack entry carries
+    the keys of those ancestors."""
+    loops = _reaches_recursion(program, frozenset(c for c in seq if not c.is_primitive))
     store.begin_trail()
-    stack = [(store.mark(), seq, depth)]
+    stack = [(store.mark(), seq, depth, ())]
     steps = 0
     while stack:
         steps += 1
         if steps > 200_000:
             return False
-        mark, seq, d = stack.pop()
+        mark, seq, d, keys = stack.pop()
         store.undo(mark)
         split = _leading_primitives(seq)
         if split:
@@ -640,8 +656,27 @@ def _classical_finite(
             if trace:
                 trace("classical: cut branch runs into the depth bound")
             return False
-        stack.extend(_unfold(program, store.mark(), seq, d))
+        level = depth - d
+        if loops and level & (level - 1) == 0:
+            key = _state_key(store, seq)
+            if key in keys:
+                if trace:
+                    trace("classical: cut branch repeats an earlier state")
+                return False
+            keys = (*keys, key)
+        stack.extend((m, s, e, keys) for m, s, e in _unfold(program, store.mark(), seq, d))
     return True
+
+
+def _state_key(store: Store, seq: tuple[Constraint, ...]) -> tuple:
+    """A key that two classical states share only if they are variants:
+    the resolvent, each literal tagged with its position, and the store
+    projected onto the resolvent's variables, renamed together. Flat, so
+    that comparing keys of deep terms does not recurse."""
+    tagged = [
+        Constraint("@", (Const(str(i)), Compound(c.functor, c.args))) for i, c in enumerate(seq)
+    ]
+    return flat_key(canonical_key([*tagged, *solver.project(store, constraints_vars(seq))]))
 
 
 def _reaches_recursion(program: Program, atoms: frozenset) -> bool:

@@ -141,6 +141,22 @@ def test_min_all_machine_output_bytes():
     assert run.stdout == (GOLDEN / "min_all.json").read_bytes()
 
 
+def test_append_primitive_classical_machine_output_bytes():
+    # Classical mining of append runs most goals into the depth bound, and
+    # probes cut branches for finiteness: its verdict and skip counters
+    # must match the golden byte for byte. CI diffs mode all the same way.
+    env = {**os.environ, "PYTHONHASHSEED": "0",
+           "PYTHONPATH": str(Path(chrgen.__file__).parent.parent)}
+    run = subprocess.run(
+        [sys.executable, "-m", "chrgen", "generate", str(DATA / "append.clp"),
+         str(DATA / "append.spec"), "--mode", "primitive", "--no-tabling",
+         "--format", "machine"],
+        capture_output=True, env=env, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (GOLDEN / "append_primitive_classical.json").read_bytes()
+
+
 def test_append_transform_output_bytes():
     # The all-answers path on a recursive program: transform of the five
     # append rules under a fixed hash seed. The golden holds its stdout,

@@ -27,7 +27,7 @@ from chrgen.terms import canonical_key
 from chrgen.transform import to_simplification
 
 from conftest import DATA
-from util import canonical_keys, decided_on_store, rule_lines
+from util import canonical_keys, classical_finite_by_depth, decided_on_store, rule_lines
 
 
 NO_OPTS = MinerOptions(opt1=False, opt2=False, opt3=False)
@@ -335,11 +335,11 @@ def _records(rs):
     return [(r.kind, r.lhs, r.rhs, r.provenance) for r in rs.rules], rs.stats
 
 
-def _mine(monkeypatch, program, steps, splitting=mine_splitting):
+def _mine(monkeypatch, program, steps, splitting=mine_splitting, opts=MinerOptions()):
     """The raw rules that generate mines, all steps on one engine; each step
     is a miner name with its spec. Fresh variables are numbered from 1."""
     monkeypatch.setattr(terms, "_counter", itertools.count(1))
-    engine = _Engine(program, MinerOptions())
+    engine = _Engine(program, opts)
     rs = RuleSet()
     for name, spec in steps:
         if name == "primitive":
@@ -586,20 +586,47 @@ def test_tabled_verdicts_agree_with_classical_ones(monkeypatch):
     # with as many answers in all-answers mode.
     min_program = parse_program((DATA / "min.clp").read_text())
     bool_program = parse_program((DATA / "bool.clp").read_text())
-    runs = [(min_program, "min")] + [
+    runs = []
+    for program, name in [(min_program, "min")] + [
         (bool_program, name)
         for name in ("and_min", "and_split", "bool_full", "min_split", "min_sym", "xor")
-    ]
-    decided = 0
-    for program, name in runs:
+    ]:
         spec = parse_spec((DATA / f"{name}.spec").read_text())
-        for steps in (_all_modes(spec), [("general", spec)]):
-            for goal, kw, tabled in _evaluated(monkeypatch, program, steps):
-                classical = miner.evaluate(program, goal, **{**kw, "tabling": False})
-                if isinstance(classical, DepthExceeded):
-                    continue
-                decided += 1
-                assert type(tabled) is type(classical), (name, goal)
-                if isinstance(classical, Answers) and kw["mode"] == "all_answers":
-                    assert len(tabled.answers) == len(classical.answers), (name, goal)
-    assert decided > 1000
+        runs += [(program, name, _all_modes(spec)), (program, name, [("general", spec)])]
+    # On append most goals run into the depth bound classically; those
+    # that do not are compared too (150 of 231 when this was written).
+    append_program = parse_program((DATA / "append.clp").read_text())
+    append_spec = parse_spec((DATA / "append.spec").read_text(), mode="primitive")
+    runs.append((append_program, "append", [("primitive", append_spec)]))
+    decided = Counter()
+    for program, name, steps in runs:
+        for goal, kw, tabled in _evaluated(monkeypatch, program, steps):
+            classical = miner.evaluate(program, goal, **{**kw, "tabling": False})
+            if isinstance(classical, DepthExceeded):
+                continue
+            decided[name] += 1
+            assert type(tabled) is type(classical), (name, goal)
+            if isinstance(classical, Answers) and kw["mode"] == "all_answers":
+                assert len(tabled.answers) == len(classical.answers), (name, goal)
+    assert sum(decided.values()) - decided["append"] > 1000
+    assert decided["append"] > 100
+
+
+def test_the_loop_check_keeps_every_classical_probe_verdict(monkeypatch, append_program):
+    # Mining append classically in all three modes probes cut branches for
+    # finiteness (176 times when this was written, each ending at a
+    # repeated state); the depth-only reference agrees on every probe.
+    probe = resolution._classical_finite
+    verdicts = []
+
+    def checked(program, store, seq, depth, trace):
+        expected = classical_finite_by_depth(program, store.copy(), seq, depth)
+        verdicts.append((probe(program, store, seq, depth, trace), expected))
+        return verdicts[-1][0]
+
+    monkeypatch.setattr(resolution, "_classical_finite", checked)
+    spec = parse_spec((DATA / "append.spec").read_text(), mode="general")
+    rs = _mine(monkeypatch, append_program, _all_modes(spec), opts=MinerOptions(tabling=False))
+    assert rs.stats["depth_exceeded"] == 381
+    assert len(verdicts) > 100
+    assert all(got == expected for got, expected in verdicts)

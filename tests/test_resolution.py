@@ -28,12 +28,13 @@ from chrgen.resolution import (
     DepthExceeded,
     Evaluation,
     Fails,
+    _classical_finite,
     _from_table,
     _reaches_recursion,
     evaluate,
 )
 from chrgen.rules import parse_rules
-from chrgen.solver import entails, project, store_from
+from chrgen.solver import Store, entails, project, store_from
 from chrgen.terms import (
     NIL,
     ORDER_RELATIONS,
@@ -51,7 +52,13 @@ from chrgen.terms import (
 )
 
 from conftest import DATA
-from util import OwnNames, atom, decided_on_store, project_by_simplify
+from util import (
+    OwnNames,
+    atom,
+    classical_finite_by_depth,
+    decided_on_store,
+    project_by_simplify,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +484,14 @@ def test_classical_agrees_on_ground_failure(append_program):
 
 def test_classical_goal_primitives_do_not_prune(append_program):
     # a goal is a set, so its primitive part trails the recursion and the
-    # classical scheme cannot use it to cut the infinite unfolding
+    # classical scheme cannot use it to cut the infinite unfolding; the
+    # finiteness probe of the cut branch sees its state repeat
     goal = parse_goal("append(X,Y,Z), X=[], Y=[a], Z=[b]")
-    assert isinstance(evaluate(append_program, goal, tabling=False), DepthExceeded)
+    lines = []
+    out = evaluate(append_program, goal, tabling=False, trace=lines.append)
+    assert isinstance(out, DepthExceeded)
+    assert "classical: cut branch repeats an earlier state" in lines
+    assert "classical: cut branch runs into the depth bound" not in lines
     assert isinstance(evaluate(append_program, goal, tabling=True), Fails)
 
 
@@ -503,6 +515,64 @@ def test_deep_spine_reaches_the_depth_bound(append_program):
     for tabling in (True, False):
         out = evaluate(append_program, goal, depth=400, tabling=tabling)
         assert isinstance(out, DepthExceeded)
+
+
+# The probe of a cut classical branch ends a path at a state that repeats an
+# ancestor's up to renaming; it must agree with the depth-only reference.
+LOOPS = parse_program(
+    """
+    member(X, [X|T]).
+    member(X, [H|T]) :- member(X, T).
+    even([]).
+    even([H|T]) :- odd(T).
+    odd([H|T]) :- even(T).
+    grow(X) :- grow(f(X)).
+    a(Y) :- a(Z), b(W).
+    b(X).
+    """
+)
+REPEATS = "classical: cut branch repeats an earlier state"
+BOUND = "classical: cut branch runs into the depth bound"
+
+
+def _probe(program, seq, depth=200):
+    """The probe's verdict and trace on a resolvent over an empty store,
+    checked against the depth-only reference."""
+    lines = []
+    finite = _classical_finite(program, Store(), seq, depth, lines.append)
+    assert finite == classical_finite_by_depth(program, Store(), seq, depth)
+    return finite, lines
+
+
+def test_the_probe_stops_at_a_repeated_state():
+    # member repeats after one step, even/odd after two; a ground list
+    # ends the recursion, and no state repeats on the way
+    for goal in ("member(X, L)", "member(X, [a|L])", "even(L)", "odd(L)"):
+        assert _probe(LOOPS, tuple(parse_goal(goal))) == (False, [REPEATS]), goal
+    for goal in ("member(X, [a,b])", "even([a,b,c])", "odd([a,b])"):
+        assert _probe(LOOPS, tuple(parse_goal(goal))) == (True, []), goal
+
+
+def test_a_growing_state_still_runs_into_the_depth_bound():
+    # the term grows at every level, so no state is a variant of another
+    for goal in ("grow(a)", "grow(X)"):
+        assert _probe(LOOPS, tuple(parse_goal(goal))) == (False, [BOUND]), goal
+
+
+def test_atoms_back_in_another_order_are_no_repeat():
+    # b(X), a(Y) comes back as a(Z), b(W) two levels down: the same atoms
+    # as a set, not as a resolvent, whose leftmost atom is resolved next
+    X, Y = Var("X"), Var("Y")
+    assert _probe(LOOPS, (atom("b", X), atom("a", Y))) == (False, [BOUND])
+
+
+def test_the_probe_keeps_the_reference_verdict_on_append(append_program):
+    # calls whose list arguments are open repeat; a ground list ends them
+    for goal in ("append(X,Y,Z)", "append([a|X],Y,Z)", "append(X,[],X)"):
+        assert _probe(append_program, tuple(parse_goal(goal))) == (False, [REPEATS]), goal
+    for goal in ("append([a,b],Y,Z)", "append(X,Y,[a,b])"):
+        finite, lines = _probe(append_program, tuple(parse_goal(goal)))
+        assert finite and not lines, goal
 
 
 # ---------------------------------------------------------------------------

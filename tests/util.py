@@ -1,8 +1,8 @@
 """Small helpers shared by the test modules."""
 
-from chrgen.resolution import FAILS, Answers, _answers_on_store
+from chrgen.resolution import FAILS, Answers, _answers_on_store, _leading_primitives, _unfold
 from chrgen.rules import RuleSet, format_rule
-from chrgen.solver import simplify, store_from
+from chrgen.solver import assert_all, simplify, store_from
 from chrgen.terms import Constraint, Term, Var, constraint_key
 
 
@@ -19,6 +19,32 @@ def decided_on_store(goal, mode: str, table):
         return FAILS
     found = _answers_on_store(store, table, goal, mode)
     return Answers(tuple(found)) if found else FAILS
+
+
+def classical_finite_by_depth(program, store, seq, depth) -> bool:
+    """Reference for ``resolution._classical_finite``: the same depth-first
+    search without the loop check, which finds an infinite tree only by
+    running a path into the depth bound or the step cap."""
+    store.begin_trail()
+    stack = [(store.mark(), seq, depth)]
+    steps = 0
+    while stack:
+        steps += 1
+        if steps > 200_000:
+            return False
+        mark, seq, d = stack.pop()
+        store.undo(mark)
+        split = _leading_primitives(seq)
+        if split:
+            if not assert_all(store, seq[:split]):
+                continue
+            seq = seq[split:]
+        if not seq:
+            continue
+        if d <= 0:
+            return False
+        stack.extend(_unfold(program, store.mark(), seq, d))
+    return True
 
 
 def rule_lines(rs: RuleSet) -> set[str]:
