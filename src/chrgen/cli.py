@@ -14,15 +14,13 @@ from .resolution import ANSWER_CAP
 from .rules import RuleSet, format_ruleset, parse_rules, ruleset_to_json
 
 
-def _miner_options(args) -> miner.MinerOptions:
+def _miner_options(args, **optimizations) -> miner.MinerOptions:
     return miner.MinerOptions(
         depth=args.depth,
         tabling=not args.no_tabling,
-        opt1=args.opt1,
-        opt2=args.opt2,
-        opt3=args.opt3,
         dnf_cap=args.dnf_cap,
         answer_cap=args.answers_cap,
+        **optimizations,
     )
 
 
@@ -39,20 +37,19 @@ def cmd_generate(args) -> int:
         Path(args.spec).read_text(),
         mode="primitive" if args.mode == "primitive" else "general",
     )
-    opts = _miner_options(args)
+    opts = _miner_options(args, opt1=args.opt1, opt2=args.opt2, opt3=args.opt3)
     engine = miner._Engine(program, opts)
     rs = RuleSet()
-    stats: dict = {}
     if args.mode in ("primitive", "all"):
-        part = miner.mine_primitive(program, spec, opts, engine=engine)
+        part = miner.mine_primitive(program, spec, engine=engine)
         for r in part:
             rs.add(r)
     if args.mode in ("splitting", "all"):
-        part = miner.mine_splitting(program, spec, prior=rs, opts=opts, engine=engine)
+        part = miner.mine_splitting(program, spec, prior=rs, engine=engine)
         for r in part:
             rs.add(r)
     if args.mode in ("general", "all"):
-        part = miner.mine_general(program, spec, opts, engine=engine)
+        part = miner.mine_general(program, spec, engine=engine)
         for r in part:
             rs.add(r)
     rs.stats = engine.stats.as_dict()
@@ -154,15 +151,9 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _add_miner_flags(p: argparse.ArgumentParser):
+def _add_engine_flags(p: argparse.ArgumentParser):
     p.add_argument("--depth", type=int, default=200, help="resolution depth bound")
     p.add_argument("--no-tabling", action="store_true", help="disable call tabling")
-    p.add_argument("--opt1", action=argparse.BooleanOptionalAction, default=True,
-                   help="skip trivially redundant failure rules")
-    p.add_argument("--opt2", action=argparse.BooleanOptionalAction, default=True,
-                   help="skip lhs supersets once a covering rule exists")
-    p.add_argument("--opt3", action=argparse.BooleanOptionalAction, default=True,
-                   help="reuse failed goal evaluations")
     p.add_argument("--dnf-cap", type=int, default=10_000)
     p.add_argument("--answers-cap", type=int, default=ANSWER_CAP)
 
@@ -180,7 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip redundancy simplification of the rule set")
     g.add_argument("--out")
     g.add_argument("--format", choices=("text", "machine"), default="text")
-    _add_miner_flags(g)
+    g.add_argument("--opt1", action=argparse.BooleanOptionalAction, default=True,
+                   help="skip trivially redundant failure rules")
+    g.add_argument("--opt2", action=argparse.BooleanOptionalAction, default=True,
+                   help="skip lhs supersets once a covering rule exists")
+    g.add_argument("--opt3", action=argparse.BooleanOptionalAction, default=True,
+                   help="reuse failed goal evaluations")
+    _add_engine_flags(g)
     g.set_defaults(func=cmd_generate)
 
     t = sub.add_parser("transform", help="turn propagation rules into simplification rules")
@@ -190,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mandatory lhs core, e.g. 'append(X,Y,Z)'")
     t.add_argument("--out")
     t.add_argument("--format", choices=("text", "machine"), default="text")
-    _add_miner_flags(t)
+    _add_engine_flags(t)
     t.set_defaults(func=cmd_transform)
 
     e = sub.add_parser("emit", help="encode a rule file as CHR source")

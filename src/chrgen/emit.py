@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
+from . import __version__
 from .program import format_term
 from .rules import Rule, RuleSet
 from .terms import (
@@ -190,7 +191,6 @@ def emit(
     rs: RuleSet,
     builtins: Iterable[str] = DEFAULT_BUILTINS,
     header: bool = True,
-    version: str = "0.1.0",
 ) -> EmitResult:
     builtins = frozenset(builtins)
     lines = []
@@ -200,7 +200,7 @@ def emit(
         digest = hashlib.sha256(
             "\n".join(sorted(key_text(r.canonical_key()) for r in rs.rules)).encode()
         ).hexdigest()[:16]
-        lines.append(f"% generated by chrgen {version}; ruleset {digest}")
+        lines.append(f"% generated by chrgen {__version__}; ruleset {digest}")
     for rule in rs.rules:
         try:
             encoded = encode_rule(rule, builtins)

@@ -67,6 +67,10 @@ class MinerStats:
 class _Engine:
     """Shared goal-evaluation plumbing with a verdict cache.
 
+    The engine owns the options of a run: a miner given an engine reads
+    every option from ``engine.opts``, and its own ``opts`` argument only
+    configures the engine it builds when it is given none.
+
     Each goal set is evaluated at most once per mode (the exists-mode cache
     only with ``opt3``), and every evaluation counts in ``evaluations``.
     Tabled evaluations in both modes share the engine's answer tables,
@@ -172,8 +176,8 @@ def mine_primitive(
     opts: Optional[MinerOptions] = None,
     engine: Optional[_Engine] = None,
 ) -> RuleSet:
-    opts = opts or MinerOptions()
-    engine = engine or _Engine(program, opts)
+    engine = engine or _Engine(program, opts or MinerOptions())
+    opts = engine.opts
     rs = RuleSet()
     base = spec.base_lhs
     cand_lhs_set = frozenset(spec.cand_lhs)
@@ -250,8 +254,7 @@ def mine_splitting(
     avoided in that case). The prior rules are read once per lhs: a
     failure rule among those that apply skips it, and the rhs constraints
     of the others are what each pair is checked against."""
-    opts = opts or MinerOptions()
-    engine = engine or _Engine(program, opts)
+    engine = engine or _Engine(program, opts or MinerOptions())
     rs = RuleSet()
     base = spec.base_lhs
     prior_rules = list(prior.rules) if prior else []
@@ -304,8 +307,7 @@ def mine_general(
 ) -> RuleSet:
     """Propagation rules whose rhs may contain user-defined constraints,
     validated by comparing the answer sets of lhs and lhs+{d}."""
-    opts = opts or MinerOptions()
-    engine = engine or _Engine(program, opts)
+    engine = engine or _Engine(program, opts or MinerOptions())
     rs = RuleSet()
     base = spec.base_lhs
     failure_filters: list[frozenset] = []

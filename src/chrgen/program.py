@@ -54,6 +54,9 @@ class Clause:
     body_user: frozenset[Constraint]
     body_prim: frozenset[Constraint]
 
+    # Resolution keeps the clause's compiled renaming function on the
+    # clause object, under ``rename``.
+
 
 @dataclass
 class Program:

@@ -18,6 +18,8 @@ entry's variables, by :func:`solver.project`, which reads the branch
 store's union-find and names the locals reached through the entry
 variables' terms canonically, so an answer is its own key. A producer's
 answer is lifted to the next such entry up in the same way.
+A clause is renamed apart by a function compiled from it once and kept
+on the clause object (:func:`_compile_renamer`).
 
 A caller that keeps answer tables (``evaluate``'s ``tables``) has a goal
 decided from the table of its user atoms, evaluated alone once, to
@@ -50,7 +52,7 @@ import itertools
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Optional
 
 from . import solver
@@ -79,6 +81,7 @@ from .terms import (
 Answer = frozenset  # of primitive Constraint
 
 ANSWER_CAP = 64  # distinct answers per call before an evaluation is cut
+STEP_CAP = 200_000  # search steps per evaluation or probe before it is cut
 
 
 @dataclass(frozen=True)
@@ -216,7 +219,7 @@ class Evaluation:
         steps = 0
         while work or answer_work:
             steps += 1
-            if steps > 200_000:
+            if steps > STEP_CAP:
                 self.cap_exceeded = True
                 break
             if self._settled(mode, root):
@@ -302,7 +305,8 @@ class Evaluation:
     def _resolve(
         self, entry: _Entry, selected: Constraint, rest: tuple, clause: Clause, last: bool
     ) -> Optional[_Entry]:
-        head_eqs, body_prim, body_user, head_prim_vars = _clause_parts(clause)(*selected.args)
+        rename = clause.__dict__.get("rename") or _compile_renamer(clause)
+        head_eqs, body_prim, body_user, head_prim_vars = rename(*selected.args)
         batch = [*head_eqs, *sorted(body_prim, key=constraint_key)]
         store = self._child_store(entry, batch, last)
         if store is None:
@@ -425,9 +429,10 @@ def _answer_key(a: Answer) -> tuple:
     return tuple(sorted(constraint_key(c) for c in a))
 
 
-@lru_cache(maxsize=None)
-def _clause_parts(clause: Clause) -> Callable[..., tuple]:
-    """Renaming function compiled once per clause.
+def _compile_renamer(clause: Clause) -> Callable[..., tuple]:
+    """The clause's renaming function, compiled the first time the clause
+    is resolved and kept on the clause object, so it lives as long as the
+    program that holds the clause.
 
     Called with the arguments of the selected atom, it takes one fresh
     variable per clause variable, in the order of their names, and returns
@@ -477,7 +482,8 @@ def _clause_parts(clause: Clause) -> Callable[..., tuple]:
         "shared": tuple(shared),
     }
     exec(source, namespace)
-    return namespace["rename"]
+    rename = clause.__dict__["rename"] = namespace["rename"]
+    return rename
 
 
 def _resolve_seq(
@@ -485,7 +491,8 @@ def _resolve_seq(
 ) -> tuple[Constraint, ...]:
     """Resolvent sequence obtained by replacing the selected atom with a
     renamed clause body: head equalities, then the body constraints."""
-    head_eqs, body_prim, body_user, _ = _clause_parts(clause)(*selected.args)
+    rename = clause.__dict__.get("rename") or _compile_renamer(clause)
+    head_eqs, body_prim, body_user, _ = rename(*selected.args)
     return head_eqs + body_prim + body_user + rest
 
 
@@ -537,7 +544,7 @@ def _classical(
     steps = 0
     while stack:
         steps += 1
-        if steps > 200_000:
+        if steps > STEP_CAP:
             depth_exceeded = True
             break
         mark, seq, d = stack.pop()
@@ -641,7 +648,7 @@ def _classical_finite(
     steps = 0
     while stack:
         steps += 1
-        if steps > 200_000:
+        if steps > STEP_CAP:
             return False
         mark, seq, d, keys = stack.pop()
         store.undo(mark)

@@ -225,11 +225,6 @@ class Constraint(_Frozen):
         return f"{self.functor}({', '.join(map(repr, self.args))})"
 
 
-def prim(rel: str, left: Term, right: Term) -> Constraint:
-    assert rel in PRIMITIVE_RELATIONS
-    return Constraint(rel, (left, right))
-
-
 def constraint_vars(c: Constraint) -> set[Var]:
     out: set[Var] = set()
     for a in c.args:

@@ -347,6 +347,23 @@ def test_removed_miner_flags_are_rejected(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_optimization_flags_belong_to_generate(tmp_path, capsys):
+    # transform compares answer sets only, which no --opt flag touches, so
+    # it offers none of them.
+    rules = tmp_path / "in.rules"
+    rules.write_text("append(X,Y,Z), X=[] ==> Y=Z.\n")
+    for flag in ("--opt1", "--no-opt1", "--opt2", "--no-opt2", "--opt3", "--no-opt3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", str(rules), str(DATA / "append.clp"), flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    rc = main(["generate", str(DATA / "min.clp"), str(DATA / "min.spec"),
+               "--mode", "primitive", "--format", "machine", "--no-opt3"])
+    assert rc == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert stats["evaluations"] > 0 and stats["skipped_opt3"] == 0
+
+
 @pytest.mark.parametrize("spec", ["xor.spec", "and_min.spec", "min_sym.spec"])
 def test_generate_all_modes_with_user_defined_rhs(tmp_path, capsys, spec):
     # User-defined rhs candidates go to the general miner only; the

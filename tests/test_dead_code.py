@@ -6,17 +6,21 @@ attribute, anywhere in the package outside its own definition. Import
 statements do not count, and neither does a name read in a top-level
 statement that binds it itself: there it is a local or an argument that
 shadows the top-level one.
+
+No module keeps a cache shared across the process: what is worked out
+once is kept on the object it belongs to, or on an engine that a run owns.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import chrgen
 
 SRC = Path(chrgen.__file__).parent
 
-# Called by the benchmark's workloads, not by the package.
-ENTRY_POINTS = {"oracle.goal_has_ground_solution", "terms.prim"}
+# Called by the benchmark's bool-family workload, not by the package.
+ENTRY_POINTS = {"oracle.goal_has_ground_solution"}
 
 
 def _names(node):
@@ -51,3 +55,27 @@ def test_every_top_level_definition_is_used():
     ]
     assert unused == []
     assert ENTRY_POINTS <= {qualified for qualified, _, _ in definitions}
+
+
+def test_no_module_keeps_a_process_wide_cache():
+    functools_caches = {"lru_cache", "cache"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{path.name}: {a.name}" for a in node.names if a.name in functools_caches]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"
+                and node.attr in functools_caches
+            ):
+                found.append(f"{path.name}: functools.{node.attr}")
+        module = importlib.import_module(f"chrgen.{path.stem}")
+        found += [
+            f"{path.stem}.{name}"
+            for name, value in vars(module).items()
+            if hasattr(value, "cache_clear")
+        ]
+    assert found == []

@@ -112,6 +112,18 @@ def test_opt3_reuses_goal_evaluations(min_program, min_spec):
     assert eng.stats.skipped_opt3 > 0
 
 
+def test_a_given_engine_sets_every_option(min_program, min_spec):
+    # The opts argument only configures an engine the miner builds itself.
+    own = mine_primitive(min_program, min_spec, engine=_Engine(min_program, MinerOptions()))
+    mixed = mine_primitive(
+        min_program, min_spec, MinerOptions(opt1=False, opt2=False),
+        engine=_Engine(min_program, MinerOptions()),
+    )
+    assert list(map(format_rule, mixed.rules)) == list(map(format_rule, own.rules))
+    assert mixed.stats == own.stats
+    assert own.stats["skipped_opt1"] > 0 and own.stats["skipped_opt2"] > 0
+
+
 # ---------------------------------------------------------------------------
 # Splitting rules  [PAPER]
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chrgen
-from chrgen import miner, oracle, solver, terms, transform
+from chrgen import miner, oracle, resolution, solver, terms, transform
 from chrgen.program import format_constraints, parse_goal, parse_program, parse_spec
 from chrgen.resolution import (
     ANSWER_CAP,
@@ -46,7 +46,6 @@ from chrgen.terms import (
     constraints_vars,
     match_subst_constraint,
     match_subst_constraints,
-    prim,
     renaming_for,
     subst_constraint,
 )
@@ -57,6 +56,7 @@ from util import (
     atom,
     classical_finite_by_depth,
     decided_on_store,
+    prim,
     project_by_simplify,
 )
 
@@ -74,6 +74,37 @@ def test_call_subsumption_append_example(append_program):
     assert isinstance(evaluate(append_program, goal, trace=lines.append), Fails)
     suspends = [line for line in lines if line.startswith("suspend:")]
     assert suspends == ["suspend: entry 1 consumes entry 0"]
+
+
+# ---------------------------------------------------------------------------
+# Clause renaming
+# ---------------------------------------------------------------------------
+
+
+def test_each_parsed_clause_compiles_its_own_renamer_once():
+    # The renamer lives on the clause object: two parses of one program
+    # compile one renamer per clause each, though their clauses are equal,
+    # and a clause resolved again, tabled or classically, compiles nothing.
+    text = (DATA / "append.clp").read_text()
+    goal = parse_goal("append(X,Y,Z), X\\=[]")
+    first, second = parse_program(text), parse_program(text)
+    assert first.clauses == second.clauses
+    with mock.patch.object(
+        resolution, "_compile_renamer", wraps=resolution._compile_renamer
+    ) as compile_renamer:
+
+        def compiled():
+            return [id(call.args[0]) for call in compile_renamer.call_args_list]
+
+        evaluate(first, goal, depth=5, mode="all_answers")
+        assert sorted(compiled()) == sorted(map(id, first.clauses))
+        evaluate(first, goal, depth=5, mode="all_answers")
+        evaluate(first, goal, depth=5, mode="all_answers", tabling=False)
+        assert len(compiled()) == 2
+        evaluate(second, goal, depth=5, mode="all_answers", tabling=False)
+        assert sorted(compiled()[2:]) == sorted(map(id, second.clauses))
+    for a, b in zip(first.clauses, second.clauses):
+        assert a.__dict__["rename"] is not b.__dict__["rename"]
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +643,6 @@ def test_free_query_answer_sets_match_oracle(bool_program):
 
 
 def _bindings(combo):
-    from chrgen.terms import Var, prim
-
     return [prim("eq", Var(n), t) for n, t in zip(("X", "Y", "Z"), combo)]
 
 

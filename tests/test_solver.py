@@ -42,13 +42,12 @@ from chrgen.terms import (
     make_list,
     match_subst_constraint,
     match_subst_constraints,
-    prim,
     unify,
     NIL,
 )
 
 from conftest import DATA
-from util import atom, project_by_simplify
+from util import atom, prim, project_by_simplify
 
 X, Y, Z, W = Var("X"), Var("Y"), Var("Z"), Var("W")
 a, b = Const("a"), Const("b")

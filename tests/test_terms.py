@@ -32,14 +32,13 @@ from chrgen.terms import (
     match_into,
     match_term,
     occurs,
-    prim,
     term_vars,
     unify,
     NIL,
 )
 
 from conftest import DATA, GOLDEN
-from util import atom
+from util import atom, prim
 
 X, Y, Z, W = Var("X"), Var("Y"), Var("Z"), Var("W")
 a, b = Const("a"), Const("b")

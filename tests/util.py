@@ -3,12 +3,18 @@
 from chrgen.resolution import FAILS, Answers, _answers_on_store, _leading_primitives, _unfold
 from chrgen.rules import RuleSet, format_rule
 from chrgen.solver import assert_all, simplify, store_from
-from chrgen.terms import Constraint, Term, Var, constraint_key
+from chrgen.terms import PRIMITIVE_RELATIONS, Constraint, Term, Var, constraint_key
 
 
 def atom(functor: str, *args: Term) -> Constraint:
     """A user-defined constraint ``functor(args...)``."""
     return Constraint(functor, tuple(args))
+
+
+def prim(rel: str, left: Term, right: Term) -> Constraint:
+    """A primitive constraint ``rel(left, right)``."""
+    assert rel in PRIMITIVE_RELATIONS
+    return Constraint(rel, (left, right))
 
 
 def decided_on_store(goal, mode: str, table):
