@@ -54,8 +54,8 @@ class Clause:
     body_user: frozenset[Constraint]
     body_prim: frozenset[Constraint]
 
-    # Resolution keeps the clause's compiled renaming function on the
-    # clause object, under ``rename``.
+    # Resolution keeps the clause's compiled renaming functions on the
+    # clause object, under ``rename`` and ``bind``.
 
 
 @dataclass

@@ -8,9 +8,13 @@ is found the node suspends and consumes that entry's answers instead of
 unfolding. Answers are propagated through a worklist until the forest
 saturates.
 
-Resolution binds by asserting head-argument equalities into the branch
+The forest binds by asserting head-argument equalities into the branch
 store rather than by substitution, so derivation branches mirror the
-constraint-accumulation style of CLP derivation trees. An answer is
+constraint-accumulation style of CLP derivation trees. It must: whether an
+entry can subsume later calls is read off the variables that its step
+added (``_Entry.new_vars``), and binding head variables to the call's
+arguments would change which entries are producers, and so the forest.
+An answer is
 recorded only where it can be used: at the nearest ancestor-or-self of the
 leaf or consumer that is a registered producer (only producers can ever
 have consumers), or else at the root. It is projected once, onto that
@@ -19,7 +23,8 @@ store's union-find and names the locals reached through the entry
 variables' terms canonically, so an answer is its own key. A producer's
 answer is lifted to the next such entry up in the same way.
 A clause is renamed apart by a function compiled from it once and kept
-on the clause object (:func:`_compile_renamer`).
+on the clause object (:func:`_compile_renamer`), together with the
+binder of the classical evaluator.
 
 A caller that keeps answer tables (``evaluate``'s ``tables``) has a goal
 decided from the table of its user atoms, evaluated alone once, to
@@ -39,11 +44,15 @@ computed once per table. Every other goal is decided on a store.
 The classical evaluator keeps the resolvent as an ordered literal sequence
 with left-to-right selection: leading primitive constraints are moved into
 the store, then the leftmost atom is replaced in place by a clause body.
-Constraints written after an atom therefore reach the store only once that
-atom is fully resolved, so recursive calls are unfolded without them and
-goals that a tabled evaluation finitely fails may run into the depth bound
-here. Where such a goal's branch is cut only to probe whether its tree is
-finite, the probe ends a path at a state that repeats an ancestor's.
+A head variable that stands alone as a head argument is bound to the
+call's argument by substitution, which in CLP semantics is the same
+constraint as equating the two (Jaffar & Maher, JLP 1994); only the other
+head arguments are equated. Constraints written after an atom therefore
+reach the store only once that atom is fully resolved, so recursive calls
+are unfolded without them and goals that a tabled evaluation finitely fails
+may run into the depth bound here. Where such a goal's branch is cut only
+to probe whether its tree is finite, the probe ends a path at a state that
+repeats an ancestor's.
 """
 
 from __future__ import annotations
@@ -272,6 +281,10 @@ class Evaluation:
         if not entry.atoms:
             self._add_answer(entry.target, entry.store, answer_work)
             return
+        if not entry.subsumable:
+            # Only a producer's store must keep value semantics; the trail
+            # lets the producer scan test entailment in place.
+            entry.store.begin_trail()
         producer_sigma = self._find_producer(entry)
         if producer_sigma is not None:
             producer, sigma = producer_sigma
@@ -289,8 +302,6 @@ class Evaluation:
             selected = entry.atoms[0]
             rest = entry.atoms[1:]
             clauses = self.program.predicates.get((selected.functor, len(selected.args)), [])
-            if not entry.subsumable:
-                entry.store.begin_trail()
             for n, clause in enumerate(clauses, 1):
                 child = self._resolve(entry, selected, rest, clause, n == len(clauses))
                 if child is not None:
@@ -305,7 +316,7 @@ class Evaluation:
     def _resolve(
         self, entry: _Entry, selected: Constraint, rest: tuple, clause: Clause, last: bool
     ) -> Optional[_Entry]:
-        rename = clause.__dict__.get("rename") or _compile_renamer(clause)
+        rename = clause.__dict__.get("rename") or _compile_renamer(clause)["rename"]
         head_eqs, body_prim, body_user, head_prim_vars = rename(*selected.args)
         batch = [*head_eqs, *sorted(body_prim, key=constraint_key)]
         store = self._child_store(entry, batch, last)
@@ -366,13 +377,14 @@ class Evaluation:
 
         Only producers with the same functor key are scanned, so a long
         chain of non-subsuming calls stays cheap. Candidates are tried
-        oldest first.
+        oldest first. Unless this entry is a producer, its store is on a
+        trail, so entailment is tested in place (see ``solver.entails``).
         """
         single = len(entry.atoms) == 1
+        c_atoms = None if single else frozenset(entry.atoms)
         for cand in self.producers.get(entry.functor_key, ()):
             if cand is entry:
                 continue
-            c_atoms = frozenset(entry.atoms)
             for sigma in match_into(cand.atoms, entry.atoms):
                 # With one atom apiece the matcher's image is necessarily
                 # the whole current call; larger calls need the check.
@@ -429,18 +441,28 @@ def _answer_key(a: Answer) -> tuple:
     return tuple(sorted(constraint_key(c) for c in a))
 
 
-def _compile_renamer(clause: Clause) -> Callable[..., tuple]:
-    """The clause's renaming function, compiled the first time the clause
-    is resolved and kept on the clause object, so it lives as long as the
-    program that holds the clause.
+def _compile_renamer(clause: Clause) -> dict:
+    """The clause's two renaming functions, ``rename`` and ``bind``,
+    compiled together the first time the clause is resolved and kept on
+    the clause object, so they live as long as the program that holds the
+    clause. Returns the namespace they were compiled into.
 
-    Called with the arguments of the selected atom, it takes one fresh
-    variable per clause variable, in the order of their names, and returns
-    the equalities between those arguments and the renamed head arguments,
-    the renamed body primitives and body atoms (each sorted as in the
-    clause), and the frozenset of fresh variables in the head and the body
-    primitives. Ground subterms are shared with the clause rather than
-    rebuilt.
+    Each is called with the arguments of the selected atom. ``rename``
+    takes one fresh variable per clause variable, in the order of their
+    names, and returns the equalities between those arguments and the
+    renamed head arguments, the renamed body primitives and body atoms
+    (each sorted as in the clause), and the frozenset of fresh variables in
+    the head and the body primitives. ``bind`` substitutes the argument
+    itself for a clause variable that stands alone as a head argument, at
+    the first such argument, as the first occurrence of a head variable is
+    bound in Warren's abstract machine (SRI TN 309, 1983). It keeps an
+    equality only for every other head argument (a constant, a compound, a
+    repeated variable) and returns those equalities and the renamed body,
+    in that order, as one tuple. Both state the same constraint; ``bind``
+    only makes fewer variables and equalities. The tabled forest keeps
+    ``rename``: its entries' variables decide which entries are producers
+    (see the module docstring). Ground subterms are shared with the clause
+    rather than rebuilt.
     """
     body_prim = tuple(sorted(clause.body_prim, key=constraint_key))
     body_user = tuple(sorted(clause.body_user, key=constraint_key))
@@ -461,19 +483,28 @@ def _compile_renamer(clause: Clause) -> Callable[..., tuple]:
     def args(ts) -> str:
         return "(" + "".join(f"{term(t)}, " for t in ts) + ")"
 
-    def constraints(cs) -> str:
-        return "(" + "".join(f"Constraint({c.functor!r}, {args(c.args)}), " for c in cs) + ")"
+    def items(cs) -> str:
+        return "".join(f"Constraint({c.functor!r}, {args(c.args)}), " for c in cs)
 
     selected = [f"a{i}" for i in range(len(clause.head.args))]
-    head_eqs = "".join(
-        f"Constraint('eq', ({a}, {term(t)})), " for a, t in zip(selected, clause.head.args)
-    )
+    eqs = {a: f"Constraint('eq', ({a}, {term(t)})), " for a, t in zip(selected, clause.head.args)}
+    bound: dict[Var, str] = {}  # for bind: clause variable -> the argument it is
+    for a, t in zip(selected, clause.head.args):
+        if isinstance(t, Var):
+            bound.setdefault(t, a)
+    body_prim_s, body_user_s = items(body_prim), items(body_user)
     head_prim_vars = constraints_vars([clause.head, *body_prim])
+    params = ", ".join(selected)
     source = (
-        f"def rename({', '.join(selected)}):\n"
+        f"def rename({params}):\n"
         + "".join(f"    {slot[v]} = fresh_var()\n" for v in variables)
-        + f"    return ({head_eqs}), {constraints(body_prim)}, {constraints(body_user)},"
+        + f"    return ({''.join(eqs.values())}), ({body_prim_s}), ({body_user_s}),"
         + f" frozenset({args(sorted(head_prim_vars, key=lambda v: v.id))})\n"
+        + f"def bind({params}):\n"
+        + "".join(f"    {slot[v]} = {bound.get(v, 'fresh_var()')}\n" for v in variables)
+        + "    return ("
+        + "".join(eq for a, eq in eqs.items() if a not in bound.values())
+        + f"{body_prim_s}{body_user_s})\n"
     )
     namespace = {
         "Compound": Compound,
@@ -482,18 +513,19 @@ def _compile_renamer(clause: Clause) -> Callable[..., tuple]:
         "shared": tuple(shared),
     }
     exec(source, namespace)
-    rename = clause.__dict__["rename"] = namespace["rename"]
-    return rename
+    clause.__dict__.update(rename=namespace["rename"], bind=namespace["bind"])
+    return namespace
 
 
 def _resolve_seq(
     selected: Constraint, rest: tuple, clause: Clause
 ) -> tuple[Constraint, ...]:
-    """Resolvent sequence obtained by replacing the selected atom with a
-    renamed clause body: head equalities, then the body constraints."""
-    rename = clause.__dict__.get("rename") or _compile_renamer(clause)
-    head_eqs, body_prim, body_user, _ = rename(*selected.args)
-    return head_eqs + body_prim + body_user + rest
+    """Resolvent sequence obtained by replacing the selected atom with the
+    clause body under the clause's ``bind``: the head equalities it keeps,
+    then the body constraints. On ``append`` a level asserts two
+    constraints, where renaming every head argument apart asserts five."""
+    bind = clause.__dict__.get("bind") or _compile_renamer(clause)["bind"]
+    return bind(*selected.args) + rest
 
 
 def _classical(
@@ -517,7 +549,8 @@ def _classical(
     goal constraints just to probe finiteness (:func:`_classical_finite`).
     This search itself runs every path to the bound: most of its paths grow
     a list at every level, so keying their states costs more than it saves,
-    and a cut there would move the exists-mode witness and the trace.
+    and a cut there would move the exists-mode witness and the trace. Each
+    level is kept cheap instead (:func:`_resolve_seq`).
 
     The search keeps one shadow store on a trail: each stack entry holds
     the mark of its parent's state, which is restored when it is popped.

@@ -155,16 +155,18 @@ class Store:
 
         A plain walk, linear in the resolved term: over a derivation whose
         list spine grows by a cell at every level, the checks add up to a
-        cost quadratic in the depth.
+        cost quadratic in the depth. Variable chains are chased inline and
+        not compressed. ``v`` is unbound, so it can only end a chain.
         """
-        parent, compress = self.parent, self.trail is None
+        parent = self.parent
         stack = [t]
         while stack:
-            t = _walk(parent, stack.pop(), compress)
-            if isinstance(t, Var):
+            t = stack.pop()
+            while t.__class__ is Var:
                 if t == v:
                     return True
-            elif isinstance(t, Compound):
+                t = parent.get(t)  # None once the chain ends
+            if t.__class__ is Compound:
                 stack.extend(t.args)
         return False
 
@@ -516,11 +518,17 @@ def entails(s: Store, c: Constraint) -> bool:
     For an equality that assertion only adds a disequality, and every
     disequality already in the (propagated) store stays undecided, so it
     fails exactly when both sides are the same term under the bindings;
-    that is read off without copying the store.
+    that is read off without copying the store. A store on a trail takes
+    the negation in place and is undone back to where it was.
     """
     if c.functor == "eq":
         return _neq_status(s, *c.args, []) == _SAME
-    return assert_constraint(s, negate(c)) is None
+    if s.trail is None:
+        return assert_constraint(s, negate(c)) is None
+    mark = s.mark()
+    entailed = not assert_all(s, (negate(c),))
+    s.undo(mark)
+    return entailed
 
 
 def store_from(cs: Iterable[Constraint]) -> Optional[Store]:

@@ -27,7 +27,13 @@ from chrgen.terms import canonical_key
 from chrgen.transform import to_simplification
 
 from conftest import DATA
-from util import canonical_keys, classical_finite_by_depth, decided_on_store, rule_lines
+from util import (
+    canonical_keys,
+    classical_finite_by_depth,
+    decided_on_store,
+    resolve_seq_by_head_equalities,
+    rule_lines,
+)
 
 
 NO_OPTS = MinerOptions(opt1=False, opt2=False, opt3=False)
@@ -642,3 +648,114 @@ def test_the_loop_check_keeps_every_classical_probe_verdict(monkeypatch, append_
     assert rs.stats["depth_exceeded"] == 381
     assert len(verdicts) > 100
     assert all(got == expected for got, expected in verdicts)
+
+
+HEAD_SHAPES = parse_program(
+    """
+    app([],Y,Y).
+    app([H|T],Y,[H|R]) :- app(T,Y,R).
+    p(f(X),X).
+    """
+)
+
+
+def test_the_binder_keeps_every_classical_outcome(monkeypatch):
+    # The classical search binds a head variable to the call's argument
+    # where the reference renames every head argument apart and equates it
+    # with the argument. Both give the same outcome, witness and answers on
+    # every goal that classical mining evaluates, in the mode it asks for
+    # (exists, and all answers for general rules), and in both modes on
+    # clauses with a repeated head variable, compound head arguments and a
+    # variable first met inside one; and the same verdict on every
+    # finiteness probe on the way.
+    binder, probe = resolution._resolve_seq, resolution._classical_finite
+    probes = 0
+    outcomes = Counter()
+
+    def checked(program, store, seq, depth, trace):
+        nonlocal probes
+        probes += 1
+        with monkeypatch.context() as m:
+            m.setattr(resolution, "_resolve_seq", resolve_seq_by_head_equalities)
+            expected = probe(program, store.copy(), seq, depth, None)
+        got = probe(program, store, seq, depth, trace)
+        assert got == expected, seq
+        return got
+
+    def compared(program, goal, modes, **kw):
+        # Fresh variables are numbered from 1 for each evaluation, and the
+        # miner's own numbering is taken up again afterwards.
+        with monkeypatch.context() as m:
+            for mode in modes:
+                out = {}
+                for seq in (resolve_seq_by_head_equalities, binder):
+                    m.setattr(resolution, "_resolve_seq", seq)
+                    m.setattr(terms, "_counter", itertools.count(1))
+                    out[seq] = resolution.evaluate(program, goal, **{**kw, "mode": mode})
+                assert out[binder] == out[resolve_seq_by_head_equalities], (goal, mode)
+                outcomes[type(out[binder]).__name__, program is HEAD_SHAPES] += 1
+        return out[binder]
+
+    monkeypatch.setattr(resolution, "_classical_finite", checked)
+    monkeypatch.setattr(
+        miner, "evaluate", lambda program, goal, **kw: compared(program, goal, [kw["mode"]], **kw)
+    )
+    min_program = parse_program((DATA / "min.clp").read_text())
+    bool_program = parse_program((DATA / "bool.clp").read_text())
+    append_program = parse_program((DATA / "append.clp").read_text())
+    runs = [(min_program, _all_modes(parse_spec((DATA / "min.spec").read_text())))]
+    for name in ("and_min", "and_split", "bool_full", "min_split", "min_sym", "xor"):
+        runs.append((bool_program, _all_modes(parse_spec((DATA / f"{name}.spec").read_text()))))
+    for mode in ("primitive", "general"):
+        spec = parse_spec((DATA / "append.spec").read_text(), mode=mode)
+        runs.append((append_program, [(mode, spec)]))
+    for program, steps in runs:
+        _mine(monkeypatch, program, steps, opts=MinerOptions(tabling=False))
+    for text in ("app(X,Y,Z)", "app(X,Y,Z), Y=Z, X\\=[]", "app(X,Y,Z), X=[a|T], Z=[]",
+                 "app(X,[b],Z), Z=[a,b]", "app(X,Y,X), Y\\=[]", "app([a],Y,[a|Y])",
+                 "p(A,B)", "p(A,A)", "p(A,B), A=f(b)", "p(f(B),B)", "p(A,B), A=f(C), C\\=B"):
+        compared(HEAD_SHAPES, frozenset(parse_goal(text)), ["exists", "all_answers"],
+                 depth=20, tabling=False)
+    assert probes > 100
+    assert all(outcomes[kind, hand] for kind in ("Fails", "Answers", "DepthExceeded")
+               for hand in (False, True)), outcomes
+
+
+def test_the_producer_scan_tests_entailment_in_place(monkeypatch):
+    # A call that is no producer is tested against earlier producers on its
+    # own store, on a trail: each negation is asserted in place and undone.
+    # On every scan of tabled mining, each such test agrees with entails on
+    # a copy, and the scan leaves the store as it found it.
+    scan, entails_ = Evaluation._find_producer, resolution.entails
+    on_trail = scans = 0
+
+    def state(s):
+        return (list(s.constraints), dict(s.parent), s.suspended_neqs, s.strict, s.nonstrict,
+                set(s.seen_vars))
+
+    def checked_entails(store, c):
+        nonlocal on_trail
+        got = entails_(store, c)
+        if store.trail is not None:
+            on_trail += 1
+            assert got == entails_(store.copy(), c), c
+        return got
+
+    def checked_scan(self, entry):
+        nonlocal scans
+        scans += 1
+        before = state(entry.store)
+        found = scan(self, entry)
+        assert state(entry.store) == before
+        return found
+
+    monkeypatch.setattr(resolution, "entails", checked_entails)
+    monkeypatch.setattr(Evaluation, "_find_producer", checked_scan)
+    append_program = parse_program((DATA / "append.clp").read_text())
+    append_spec = parse_spec((DATA / "append.spec").read_text(), mode="primitive")
+    _mine(monkeypatch, append_program, [("primitive", append_spec)])
+    bool_program = parse_program((DATA / "bool.clp").read_text())
+    for name in ("and_min", "and_split", "bool_full", "min_split", "min_sym", "xor"):
+        _mine(monkeypatch, bool_program, _all_modes(parse_spec((DATA / f"{name}.spec").read_text())))
+    # 5934 scans and 9512 tests on a trail when this was written
+    assert scans > 5000 and on_trail > 5000, (scans, on_trail)

@@ -85,6 +85,8 @@ def test_each_parsed_clause_compiles_its_own_renamer_once():
     # The renamer lives on the clause object: two parses of one program
     # compile one renamer per clause each, though their clauses are equal,
     # and a clause resolved again, tabled or classically, compiles nothing.
+    # One compile sets both functions, the tabled ``rename`` and the
+    # classical ``bind``.
     text = (DATA / "append.clp").read_text()
     goal = parse_goal("append(X,Y,Z), X\\=[]")
     first, second = parse_program(text), parse_program(text)
@@ -98,6 +100,7 @@ def test_each_parsed_clause_compiles_its_own_renamer_once():
 
         evaluate(first, goal, depth=5, mode="all_answers")
         assert sorted(compiled()) == sorted(map(id, first.clauses))
+        assert all({"rename", "bind"} <= c.__dict__.keys() for c in first.clauses)
         evaluate(first, goal, depth=5, mode="all_answers")
         evaluate(first, goal, depth=5, mode="all_answers", tabling=False)
         assert len(compiled()) == 2
@@ -105,6 +108,7 @@ def test_each_parsed_clause_compiles_its_own_renamer_once():
         assert sorted(compiled()[2:]) == sorted(map(id, second.clauses))
     for a, b in zip(first.clauses, second.clauses):
         assert a.__dict__["rename"] is not b.__dict__["rename"]
+        assert a.__dict__["bind"] is not b.__dict__["bind"]
 
 
 # ---------------------------------------------------------------------------

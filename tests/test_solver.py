@@ -42,6 +42,7 @@ from chrgen.terms import (
     make_list,
     match_subst_constraint,
     match_subst_constraints,
+    occurs,
     unify,
     NIL,
 )
@@ -197,6 +198,51 @@ def test_unification_agrees_with_the_substitution_unifier(batch):
             kept.append(c)
         else:
             trailed.undo(mark)
+
+
+def _store_of(batch, trailed: bool) -> Store:
+    """A store of the equalities of the batch that can be added in turn,
+    on a trail or not; on a trail, one that fails is undone."""
+    s = Store()
+    if trailed:
+        s.begin_trail()
+    for c in batch:
+        if trailed:
+            mark = s.mark()
+            if not assert_all(s, [c]):
+                s.undo(mark)
+        else:
+            s = assert_many(s, [c]) or s
+    return s
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.builds(lambda l, r: prim("eq", l, r), UNIFY_TERMS, UNIFY_TERMS), max_size=6),
+    UNIFY_TERMS,
+    st.booleans(),
+)
+@example([prim("eq", A, cons(a, B)), prim("eq", B, C)], cons(D, A), False)
+@example([prim("eq", A, B), prim("eq", B, Compound("f", (C, D)))], A, True)
+def test_occurs_reads_bindings_as_the_substitution_check_does(batch, t, trailed):
+    # The store's occurs check, which chases variable chains inline, says
+    # of every unbound variable what terms.occurs says through the store's
+    # bindings.
+    s = _store_of(batch, trailed)
+    for v in UNIFY_VARS:
+        if v not in s.parent:
+            assert s._occurs(v, t) == occurs(v, t, s.parent), (v, t)
+
+
+def test_occurs_walks_a_long_spine_on_stores_with_and_without_a_trail():
+    # A 2000-cell spine built through bindings, whose tail is the variable
+    # looked for; another variable does not occur in it.
+    cells = [Var(f"T{i}") for i in range(2001)]
+    spine = [prim("eq", cells[i], cons(a, cells[i + 1])) for i in range(2000)]
+    for trailed in (False, True):
+        s = _store_of(spine, trailed)
+        for v in (cells[2000], Var("Q")):
+            assert s._occurs(v, cells[0]) == occurs(v, cells[0], s.parent) == (v == cells[2000])
 
 
 def test_transitive_equality():

@@ -1,5 +1,6 @@
 """Small helpers shared by the test modules."""
 
+from chrgen import resolution
 from chrgen.resolution import FAILS, Answers, _answers_on_store, _leading_primitives, _unfold
 from chrgen.rules import RuleSet, format_rule
 from chrgen.solver import assert_all, simplify, store_from
@@ -36,7 +37,7 @@ def classical_finite_by_depth(program, store, seq, depth) -> bool:
     steps = 0
     while stack:
         steps += 1
-        if steps > 200_000:
+        if steps > resolution.STEP_CAP:
             return False
         mark, seq, d = stack.pop()
         store.undo(mark)
@@ -51,6 +52,15 @@ def classical_finite_by_depth(program, store, seq, depth) -> bool:
             return False
         stack.extend(_unfold(program, store.mark(), seq, d))
     return True
+
+
+def resolve_seq_by_head_equalities(selected, rest, clause):
+    """Reference for ``resolution._resolve_seq``: the clause renamed apart
+    whole, with one equality per head argument between the selected atom's
+    argument and the renamed head argument, then the renamed body."""
+    rename = clause.__dict__.get("rename") or resolution._compile_renamer(clause)["rename"]
+    head_eqs, body_prim, body_user, _ = rename(*selected.args)
+    return head_eqs + body_prim + body_user + rest
 
 
 def rule_lines(rs: RuleSet) -> set[str]:
